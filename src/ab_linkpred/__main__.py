@@ -1,0 +1,6 @@
+"""``python -m ab_linkpred <subcommand> ...`` runs the command-line tool."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

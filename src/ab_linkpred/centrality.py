@@ -39,10 +39,6 @@ class CentralityTable:
 
     measure: str
     values: list[float]
-    normalized: bool = False
-
-    def score(self, v: int) -> float:
-        return self.values[v]
 
 
 def degree_centrality(g: Graph) -> CentralityTable:

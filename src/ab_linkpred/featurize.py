@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .centrality import CentralityTable, Strategy, neighbor_orders, ordered_neighbors, table_for
+from .centrality import CentralityTable, Strategy, neighbor_orders, table_for
 from .graph import Graph
 
 
@@ -158,80 +158,78 @@ def _neighbor_block(orders, root: int, a: int, b: int, mask_u: int, mask_v: int)
     return block
 
 
-class _LazyOrders:
-    """Orders computed on demand, for one-off pair extraction."""
-
-    def __init__(self, g: Graph, strategy: Strategy, table: CentralityTable | None):
-        self._g = g
-        self._strategy = strategy
-        self._table = table
-        self._cache: dict[int, list[int]] = {}
-
-    def __getitem__(self, v: int) -> list[int]:
-        got = self._cache.get(v)
-        if got is None:
-            got = self._cache[v] = ordered_neighbors(self._g, v, self._strategy, self._table)
-        return got
+_GATHER_ROWS = 4096  # rows per gather step; bounds the temporaries of the block copies
 
 
-def create_pair_features(
-    g: Graph,
-    u: int,
-    v: int,
-    config: FeatureConfig,
-    table: CentralityTable | None = None,
-    _orders=None,
-) -> PairRow:
-    """Extract the feature row and label for one node pair.
+def labeled_candidates(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint columns u > v of every candidate pair, in Graph.candidate_pairs()
+    order, and whether each pair is an edge."""
+    u, v = np.tril_indices(g.node_count, -1)
+    u += 1
+    v += 1
+    return u, v, g.adjacency()[u, v]
 
-    The centrality table for a ranked strategy is computed on the fly when
-    not supplied; bulk callers should pass it (or use build_dataset) so it
-    is computed once per graph.
+
+def pair_list(u: np.ndarray, v: np.ndarray) -> list[tuple[int, int]]:
+    """Endpoint columns as the (u, v) tuples of Dataset.pairs."""
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _pair_columns(pairs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint columns of explicit pairs; each must name two distinct nodes in 1..n."""
+    arr = np.asarray(pairs) if pairs else np.zeros((0, 2), dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError("pairs must be a sequence of (u, v) integer node IDs")
+    u, v = arr.T.astype(np.intp)
+    bad = (u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)
+    if bad.any():
+        raise ValueError(f"pair {tuple(pairs[int(np.argmax(bad))])} must name two distinct nodes in 1..{n}")
+    return u, v
+
+
+def create_pair_features(g: Graph, u: int, v: int, config: FeatureConfig, table: CentralityTable | None = None) -> PairRow:
+    """Extract the feature row and label for one node pair: a one-row build_dataset."""
+    d = build_dataset(g, config, table=table, pairs=[(u, v)])
+    return PairRow(x=d.X[0].tolist(), y=int(d.y[0]), u=u, v=v)
+
+
+def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | None = None, pairs=None) -> Dataset:
+    """One row per candidate pair (or per given pair, in the given order).
+
+    Unmasked, a block depends on its root alone, so each distinct endpoint's
+    block is built once and the rows are gathered from that table. The mask
+    hides nothing unless the pair is an edge, so under mask_pair_edge only
+    the positive rows are rebuilt. The centrality table is computed when not
+    supplied. Explicit pairs must name two distinct nodes in 1..n, else
+    ValueError.
     """
-    g._check_node(u)
-    g._check_node(v)
-    if u == v:
-        raise ValueError(f"pair must name two distinct nodes, got ({u}, {v})")
-    if _orders is None:
-        if table is None:
-            table = table_for(g, config.strategy)
-        _orders = _LazyOrders(g, config.strategy, table)
-    mask_u, mask_v = (u, v) if config.mask_pair_edge else (0, 0)
-    x = _neighbor_block(_orders, u, config.a, config.b, mask_u, mask_v)
-    x += _neighbor_block(_orders, v, config.a, config.b, mask_u, mask_v)
-    x.append(u)
-    x.append(v)
-    y = 1 if g.has_edge(u, v) else 0
-    return PairRow(x=x, y=y, u=u, v=v)
-
-
-def build_dataset(
-    g: Graph,
-    config: FeatureConfig,
-    *,
-    table: CentralityTable | None = None,
-    pairs=None,
-) -> Dataset:
-    """One row per candidate pair (or per given pair), in enumeration order."""
+    if pairs is None:
+        u, v, edge = labeled_candidates(g)
+        pairs = pair_list(u, v)
+    else:
+        pairs = list(pairs)
+        u, v = _pair_columns(pairs, g.node_count)
+        edge = g.adjacency()[u, v]
     if table is None:
         table = table_for(g, config.strategy)
     orders = neighbor_orders(g, config.strategy, table)
-    pair_list = list(pairs) if pairs is not None else list(g.candidate_pairs())
-    a, b = config.a, config.b
-    mask = config.mask_pair_edge
-    X = np.zeros((len(pair_list), config.row_length), dtype=np.int32)
-    y = np.zeros(len(pair_list), dtype=np.int8)
-    nbr_sets = g._nbrs
-    for i, (u, v) in enumerate(pair_list):
-        mask_u, mask_v = (u, v) if mask else (0, 0)
-        row = _neighbor_block(orders, u, a, b, mask_u, mask_v)
-        row += _neighbor_block(orders, v, a, b, mask_u, mask_v)
-        row.append(u)
-        row.append(v)
-        X[i] = row
-        if v in nbr_sets[u]:
-            y[i] = 1
-    return Dataset(X=X, y=y, pairs=pair_list, config=config)
+    a, b, k = config.a, config.b, config.block_length
+    blocks = np.zeros((g.node_count + 1, k), dtype=np.int32)
+    for root in np.unique(np.concatenate([u, v])).tolist():
+        blocks[root] = _neighbor_block(orders, root, a, b, 0, 0)
+    X = np.empty((len(pairs), config.row_length), dtype=np.int32)
+    for lo in range(0, len(pairs), _GATHER_ROWS):
+        rows = slice(lo, lo + _GATHER_ROWS)
+        X[rows, :k] = blocks[u[rows]]
+        X[rows, k:2 * k] = blocks[v[rows]]
+    X[:, -2] = u
+    X[:, -1] = v
+    if config.mask_pair_edge:
+        for i in np.flatnonzero(edge).tolist():
+            pu, pv = int(u[i]), int(v[i])
+            X[i, :k] = _neighbor_block(orders, pu, a, b, pu, pv)
+            X[i, k:2 * k] = _neighbor_block(orders, pv, a, b, pu, pv)
+    return Dataset(X=X, y=edge.astype(np.int8), pairs=pairs, config=config)
 
 
 def _balanced_row_indices(y: np.ndarray, negative_ratio: float, seed: int) -> np.ndarray:
@@ -279,11 +277,9 @@ def balanced_dataset(
     """
     if seed is None:
         seed = config.seed
-    pair_list = list(g.candidate_pairs())
-    nbr_sets = g._nbrs
-    y = np.fromiter((1 if v in nbr_sets[u] else 0 for u, v in pair_list), dtype=np.int8, count=len(pair_list))
-    keep = _balanced_row_indices(y, negative_ratio, seed)
-    return build_dataset(g, config, table=table, pairs=[pair_list[i] for i in keep])
+    u, v, edge = labeled_candidates(g)
+    keep = _balanced_row_indices(edge.astype(np.int8), negative_ratio, seed)
+    return build_dataset(g, config, table=table, pairs=pair_list(u[keep], v[keep]))
 
 
 def split(d: Dataset, test_fraction: float, seed: int) -> Split:

@@ -12,6 +12,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 
 class EdgeListParseError(ValueError):
     """A malformed edge-list line; remembers the 1-based line number."""
@@ -82,6 +84,13 @@ class Graph:
         self._check_node(u)
         self._check_node(v)
         return v in self._nbrs[u]
+
+    def adjacency(self) -> np.ndarray:
+        """Boolean (n+1, n+1) adjacency matrix; row and column 0 stay False."""
+        adj = np.zeros((self.node_count + 1, self.node_count + 1), dtype=bool)
+        for u in range(1, self.node_count + 1):
+            adj[u, self._adj[u]] = True
+        return adj
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Insert the undirected edge (u, v); a no-op if already present."""

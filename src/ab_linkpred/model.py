@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import derive_seed
+from .featurize import config_from_dict
 
 FORMAT_VERSION = 1
 
@@ -349,11 +350,14 @@ def predict_label(c: Classifier, x, threshold: float = 0.5) -> int:
 # Serialization: versioned JSON, numbers kept at full round-trip precision
 
 
+_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
 def _payload_to_jsonable(c: Classifier) -> dict:
     if c.kind in ("forest", "tree"):
         return {
             "trees": [
-                {key: tree[key].tolist() for key in ("feature", "threshold", "left", "right", "value")}
+                {key: tree[key].tolist() for key in _TREE_KEYS}
                 for tree in c.payload["trees"]
             ]
         }
@@ -375,6 +379,44 @@ def _payload_from_jsonable(kind: str, doc: dict) -> dict:
             ]
         }
     return {"weights": np.array(doc["weights"], dtype=np.float64), "bias": float(doc["bias"])}
+
+
+def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
+    """Raise ModelFormatError unless the payload can be scored safely.
+
+    A node splits exactly when its feature is >= 0, as _tree_leaf_values
+    reads it. Split nodes need a readable column and both children at
+    higher indices, so every walk moves forward and ends at a leaf; leaves
+    have no children.
+    """
+
+    def bad(message: str):
+        raise ModelFormatError(f"malformed model payload: {message}")
+
+    if kind == "logistic":
+        if payload["weights"].shape != (feature_length,):
+            bad(f"logistic weights have shape {payload['weights'].shape}, want ({feature_length},)")
+        return
+    if not payload["trees"]:
+        bad("the model holds no trees")
+    for t, tree in enumerate(payload["trees"]):
+        size = tree["feature"].size
+        if size == 0 or any(tree[key].shape != (size,) for key in _TREE_KEYS):
+            bad(f"tree {t}: node arrays must be one-dimensional, nonempty and of equal length")
+        feature, left, right = tree["feature"], tree["left"], tree["right"]
+        splits = feature >= 0
+        if not (np.array_equal(left >= 0, splits) and np.array_equal(right >= 0, splits)):
+            bad(f"tree {t}: split nodes need both children and leaves neither")
+        parent = np.flatnonzero(splits)
+        for child in (left[splits], right[splits]):
+            if ((child <= parent) | (child >= size)).any():
+                bad(f"tree {t}: a child index is not after its parent within {size} nodes")
+        if (feature >= feature_length).any():
+            bad(f"tree {t}: a split reads a column outside 0..{feature_length - 1}")
+        if not np.isfinite(tree["threshold"]).all():
+            bad(f"tree {t}: thresholds must be finite numbers")
+        if not ((tree["value"] >= 0.0) & (tree["value"] <= 1.0)).all():
+            bad(f"tree {t}: leaf values must lie in [0, 1]")
 
 
 def save_model(c: Classifier, sink=None) -> bytes:
@@ -399,7 +441,15 @@ def save_model(c: Classifier, sink=None) -> bytes:
 
 
 def load_model(source) -> Classifier:
-    """Rebuild a Classifier from bytes, a JSON string, a stream, or a path."""
+    """Rebuild a Classifier from bytes, a JSON string, a stream, or a path.
+
+    Raises ModelFormatError for any document that cannot be scored safely:
+    bad JSON or version, missing fields, unknown hyperparameters or feature
+    settings, node arrays of unequal length, a tree whose child pointers do
+    not move forward, a split on a column outside the feature length, a
+    missing threshold, a leaf value outside [0, 1], or logistic weights of
+    the wrong length.
+    """
     if isinstance(source, (str, os.PathLike)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         with open(source, "rb") as f:
             data = f.read()
@@ -422,17 +472,27 @@ def load_model(source) -> Classifier:
     if missing:
         raise ModelFormatError(f"model document is missing fields: {missing}")
     kind = doc["kind"]
-    if kind not in DEFAULT_PARAMS:
+    if not isinstance(kind, str) or kind not in DEFAULT_PARAMS:
         raise ModelFormatError(f"unknown classifier kind {kind!r} in model document")
+    feature_length = doc["feature_length"]
+    if type(feature_length) is not int or feature_length < 1:
+        raise ModelFormatError(f"feature_length must be a positive integer, got {feature_length!r}")
     try:
         payload = _payload_from_jsonable(kind, doc["payload"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ModelFormatError(f"malformed model payload: {err}") from None
+        if not isinstance(doc["hyperparameters"], dict):
+            raise TypeError("hyperparameters must be a JSON object")
+        _merged_params(kind, doc["hyperparameters"])
+        if doc.get("featurize_config") is not None:
+            config_from_dict(doc["featurize_config"])
+        seed = int(doc["seed"])
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ModelFormatError(f"malformed model document: {err}") from None
+    _check_payload(kind, payload, feature_length)
     return Classifier(
         kind=kind,
         params=doc["hyperparameters"],
-        feature_length=int(doc["feature_length"]),
-        seed=int(doc["seed"]),
+        feature_length=feature_length,
+        seed=seed,
         payload=payload,
         featurize_config=doc.get("featurize_config"),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .featurize import FeatureConfig, build_dataset, config_from_dict
+from .featurize import FeatureConfig, build_dataset, config_from_dict, labeled_candidates, pair_list
 from .graph import Graph
 from .model import Classifier, predict_scores
 
@@ -24,14 +24,13 @@ class CompletionConfig:
 
     max_steps applies to the iterative mode; None means run to the fixed
     point (termination is still guaranteed, the non-edge pool is finite and
-    every non-final step consumes from it). candidate_scope names the pool
-    of pairs considered; only all non-edges of the current state exists.
+    every non-final step consumes from it). Each step considers every
+    non-edge of the current state.
     """
 
     epsilon: float
     mode: str
     max_steps: int | None = None
-    candidate_scope: str = "all_non_edges"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
@@ -40,8 +39,6 @@ class CompletionConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.candidate_scope != "all_non_edges":
-            raise ValueError(f"unsupported candidate_scope {self.candidate_scope!r}")
 
 
 @dataclass
@@ -74,7 +71,8 @@ def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureCon
 
 
 def _score_non_edges(g: Graph, model: Classifier, feat: FeatureConfig) -> list[tuple[int, int, float]]:
-    non_edges = [(u, v) for u, v in g.candidate_pairs() if not g.has_edge(u, v)]
+    u, v, edge = labeled_candidates(g)
+    non_edges = pair_list(u[~edge], v[~edge])
     if not non_edges:
         return []
     data = build_dataset(g, feat, pairs=non_edges)

@@ -2,12 +2,18 @@
 
 Deliberately independent of the library's BFS-accumulation code paths:
 distances come from Floyd-Warshall and betweenness from explicit
-enumeration of every shortest path.
+enumeration of every shortest path. The feature reference rebuilds both
+neighbor blocks of every pair one by one, the plain form of the block
+table that build_dataset gathers from.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+from ab_linkpred import Dataset, ordered_neighbors, table_for
 
 INF = float("inf")
 
@@ -73,3 +79,64 @@ def brute_closeness(g):
         total = sum(reach)
         scores[v] = (len(reach) - 1) / total if total > 0 else 0.0
     return scores
+
+
+def _emit_group(orders, node, a, visited, block, mask_u, mask_v):
+    filled = 0
+    if node:
+        for w in orders[node]:
+            if w in visited:
+                continue
+            if (w == mask_v and node == mask_u) or (w == mask_u and node == mask_v):
+                continue
+            block.append(w)
+            visited.add(w)
+            filled += 1
+            if filled == a:
+                break
+    if filled < a:
+        block.extend((0,) * (a - filled))
+
+
+def _neighbor_block(orders, root, a, b, mask_u, mask_v):
+    visited = {root}
+    block = []
+    _emit_group(orders, root, a, visited, block, mask_u, mask_v)
+    for i in range(b):
+        lo = i * a
+        for node in block[lo:lo + a]:
+            _emit_group(orders, node, a, visited, block, mask_u, mask_v)
+    return block
+
+
+class _LazyOrders:
+    """ordered_neighbors computed on first use of each node."""
+
+    def __init__(self, g, strategy, table):
+        self._g = g
+        self._strategy = strategy
+        self._table = table
+        self._cache = {}
+
+    def __getitem__(self, v):
+        got = self._cache.get(v)
+        if got is None:
+            got = self._cache[v] = ordered_neighbors(self._g, v, self._strategy, self._table)
+        return got
+
+
+def reference_dataset(g, config, pairs=None):
+    """The feature rows extracted pair by pair: both blocks are rebuilt for
+    every pair, masking the pair's own edge when the config asks for it, and
+    the label is read off has_edge."""
+    orders = _LazyOrders(g, config.strategy, table_for(g, config.strategy))
+    pair_list = list(pairs) if pairs is not None else list(g.candidate_pairs())
+    X = np.zeros((len(pair_list), config.row_length), dtype=np.int32)
+    y = np.zeros(len(pair_list), dtype=np.int8)
+    for i, (u, v) in enumerate(pair_list):
+        mask_u, mask_v = (u, v) if config.mask_pair_edge else (0, 0)
+        row = _neighbor_block(orders, u, config.a, config.b, mask_u, mask_v)
+        row += _neighbor_block(orders, v, config.a, config.b, mask_u, mask_v)
+        X[i] = row + [u, v]
+        y[i] = 1 if g.has_edge(u, v) else 0
+    return Dataset(X=X, y=y, pairs=pair_list, config=config)

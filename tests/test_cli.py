@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import ab_linkpred
 
 from ab_linkpred.cli import main
 
@@ -20,6 +24,14 @@ def gnm_file(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(edge_text(gnm_edges(61, 270, seed=4)))
     return path
+
+
+def run_module(*args, module="ab_linkpred"):
+    """`python -m MODULE ARGS` in a fresh interpreter, killed after 60 s."""
+    src = os.path.dirname(os.path.dirname(ab_linkpred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def strip_wall_ms(csv_text):
@@ -53,6 +65,32 @@ def test_malformed_file_is_data_error(tmp_path, capsys):
 def test_stats_output_format(gnm_file, capsys):
     assert main(["stats", str(gnm_file)]) == 0
     assert capsys.readouterr().out == "nodes=61 edges=270 avg_degree=8.85\n"
+
+
+@pytest.mark.parametrize("module", ["ab_linkpred", "ab_linkpred.cli"])
+def test_python_dash_m_runs_the_cli(gnm_file, module):
+    done = run_module("stats", gnm_file, module=module)
+    assert done.returncode == 0
+    assert done.stdout == "nodes=61 edges=270 avg_degree=8.85\n"
+
+
+@pytest.mark.parametrize("corruption", ["feature_out_of_range", "child_points_to_itself"])
+def test_complete_rejects_unsafe_tree_with_exit_2(clique_file, tmp_path, corruption):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--seed", "5", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    tree = doc["payload"]["trees"][0]
+    node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    if corruption == "feature_out_of_range":
+        tree["feature"][node] = 99  # rows have 4 columns
+    else:
+        tree["left"][node] = tree["right"][node] = node  # walks would spin here forever
+    model.write_text(json.dumps(doc))
+    done = run_module("complete", clique_file, "--model", model, "--epsilon", "0.5",
+                      "--mode", "iterative", "--out", tmp_path / "added.txt")
+    assert done.returncode == 2
+    assert "malformed model payload" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_centrality_output_sorted_descending(clique_file, capsys):

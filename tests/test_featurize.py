@@ -18,6 +18,7 @@ from ab_linkpred import (
 from ab_linkpred.featurize import config_from_dict, config_to_dict
 
 from graphgen import complete_graph, gnm_edges, gnp_edges, graph_from_edges
+from oracles import reference_dataset
 
 
 def degree_cfg(a, b, seed=42, mask=False):
@@ -150,6 +151,56 @@ def test_build_dataset_counts_and_order():
     d151 = build_dataset(g151, random_cfg(1, 0))
     assert len(d151.y) == 11_325
     assert d151.positive_count == 235
+
+
+def with_isolated_nodes():
+    g = graph_from_edges(gnm_edges(24, 55, seed=12))
+    for label in ("iso1", "iso2", "iso3"):
+        g.intern(label)
+    return g
+
+
+def edgeless(n):
+    from ab_linkpred import Graph
+
+    g = Graph()
+    for i in range(1, n + 1):
+        g.intern(str(i))
+    return g
+
+
+def assert_same_bytes(d, ref):
+    assert d.X.tobytes() == ref.X.tobytes()
+    assert d.y.tobytes() == ref.y.tobytes()
+    assert d.pairs == ref.pairs
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("a,b", [(1, 0), (2, 1), (3, 2), (5, 5)])
+@pytest.mark.parametrize("kind", ["degree", "betweenness", "closeness", "random"])
+def test_build_dataset_matches_per_pair_oracle(kind, a, b, mask):
+    g = with_isolated_nodes()
+    cfg = FeatureConfig(a=a, b=b, strategy=Strategy(kind, 5 if kind == "random" else None), mask_pair_edge=mask)
+    assert_same_bytes(build_dataset(g, cfg), reference_dataset(g, cfg))
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("pairs", [[], [(7, 3)], [(5, 9), (26, 1), (2, 14), (14, 2), (3, 27), (9, 5)]])
+def test_build_dataset_explicit_pairs_match_oracle(pairs, mask):
+    g = with_isolated_nodes()
+    for kind in ("betweenness", "random"):
+        cfg = FeatureConfig(a=2, b=1, strategy=Strategy(kind, 3 if kind == "random" else None), mask_pair_edge=mask)
+        assert_same_bytes(build_dataset(g, cfg, pairs=pairs), reference_dataset(g, cfg, pairs))
+    empty = edgeless(6)
+    cfg = FeatureConfig(a=3, b=2, strategy=Strategy("closeness"), mask_pair_edge=mask)
+    assert_same_bytes(build_dataset(empty, cfg), reference_dataset(empty, cfg))
+
+
+@pytest.mark.parametrize("bad", [[(0, 1)], [(3, -1)], [(-2, 4)], [(1, 29)], [(4, 4)], [(1, 2, 3)], [(1.0, 2.0)]])
+def test_build_dataset_rejects_invalid_pairs(bad):
+    g = with_isolated_nodes()  # 27 nodes
+    with pytest.raises(ValueError):
+        build_dataset(g, degree_cfg(2, 1), pairs=[(2, 1)] + bad)
 
 
 def test_labels_do_not_depend_on_ordering_seed():

@@ -1,7 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ab_linkpred import (
     FeatureConfig,
@@ -186,3 +189,89 @@ def test_loaded_model_with_wrong_feature_length_errors_at_predict():
     restored = load_model(save_model(clf))
     with pytest.raises(ValueError):
         predict_scores(restored, [[1.0, 2.0, 3.0]])
+
+
+def first_split(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def first_leaf(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if f < 0)
+
+
+def _set(tree, key, i, value):
+    tree[key][i] = value
+
+
+TREE_CORRUPTIONS = {
+    "unequal_arrays": lambda t: t["value"].pop(),
+    "child_is_parent": lambda t: _set(t, "left", first_split(t), first_split(t)),
+    "child_before_parent": lambda t: _set(t, "right", t["left"][first_split(t)], first_split(t)),
+    "child_past_end": lambda t: _set(t, "right", first_split(t), len(t["feature"])),
+    "one_child": lambda t: _set(t, "right", first_split(t), -1),
+    "leaf_with_children": lambda t: _set(t, "left", first_leaf(t), len(t["feature"]) - 1),
+    "feature_past_end": lambda t: _set(t, "feature", first_split(t), 26),
+    "split_without_feature": lambda t: _set(t, "feature", first_split(t), -1),
+    "value_above_one": lambda t: _set(t, "value", first_leaf(t), 1.5),
+    "threshold_null": lambda t: _set(t, "threshold", first_split(t), None),
+    "nested_array": lambda t: _set(t, "threshold", 0, [0.5]),
+}
+
+
+@pytest.fixture(scope="module")
+def small_forest_doc(clique_split):
+    clf = train(clique_split.Xtrain, clique_split.ytrain, params={"tree_count": 3}, seed=4)
+    clf.featurize_config = {"a": 3, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 11}
+    return save_model(clf)
+
+
+@pytest.mark.parametrize("corruption", sorted(TREE_CORRUPTIONS))
+def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
+    doc = json.loads(small_forest_doc)
+    TREE_CORRUPTIONS[corruption](doc["payload"]["trees"][1])
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("feature_length", 0),
+    ("feature_length", "26"),
+    ("seed", None),
+    ("hyperparameters", {"bogus": 1}),
+    ("hyperparameters", [1]),
+    ("featurize_config", {"a": 3}),
+    ("featurize_config", {"a": 0, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 1}),
+    ("payload", {"trees": []}),
+    ("payload", {"trees": [None]}),
+    ("payload", {"trees": [{"feature": 1, "threshold": 0.5, "left": -1, "right": -1, "value": 0.5}]}),
+    ("kind", ["forest"]),
+])
+def test_load_rejects_bad_fields(small_forest_doc, field, value):
+    doc = json.loads(small_forest_doc)
+    doc[field] = value
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_logistic_weights_of_wrong_length():
+    doc = json.loads(save_model(train([[1, 2], [9, 1]] * 5, [0, 1] * 5, kind="logistic")))
+    doc["payload"]["weights"].append(0.0)
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_tree_documents_load_and_predict_or_raise(small_forest_doc, data):
+    doc = json.loads(small_forest_doc)
+    tree = data.draw(st.sampled_from(doc["payload"]["trees"]))
+    key = data.draw(st.sampled_from(["feature", "threshold", "left", "right", "value"]))
+    i = data.draw(st.integers(0, len(tree[key]) - 1))
+    tree[key][i] = data.draw(st.one_of(st.integers(-3, 40), st.floats(), st.none(), st.text(max_size=2)))
+    try:
+        clf = load_model(json.dumps(doc))
+    except ModelFormatError:
+        return
+    probe = np.random.default_rng(5).integers(0, 13, size=(200, clf.feature_length))
+    scores = predict_scores(clf, probe)
+    assert ((scores >= 0.0) & (scores <= 1.0)).all()
