@@ -8,6 +8,7 @@ all measures are kept unnormalized.
 
 from __future__ import annotations
 
+import numbers
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {STRATEGY_KINDS}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random strategy requires a seed")
+        if self.seed is not None and not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"strategy seed must be an integer, got {self.seed!r}")
 
 
 @dataclass

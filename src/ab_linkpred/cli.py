@@ -17,7 +17,6 @@ import sys
 import time
 
 from . import __version__
-from ._seeds import derive_seed
 from .centrality import MEASURES, STRATEGY_KINDS, Strategy, centrality_table
 from .evaluate import (
     CSV_HEADER,
@@ -25,16 +24,17 @@ from .evaluate import (
     confusion,
     csv_cell_row,
     export_csv,
+    fit,
     format_report,
     metrics,
     render_heatmap,
     run_experiment,
     sweep,
 )
-from .featurize import FeatureConfig, balanced_dataset, build_dataset, config_from_dict, config_to_dict, split
+from .featurize import FeatureConfig, config_from_dict, config_to_dict
 from .graph import load_edge_list, stats
-from .model import load_model, predict_scores, save_model, train
-from .predict import CompletionConfig, complete_iterative, complete_noniterative
+from .model import load_model, predict_scores, save_model
+from .predict import CompletionConfig, complete
 
 DEFAULT_SEED = 42
 
@@ -183,6 +183,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _build_config(args) -> FeatureConfig:
+    """The feature settings of train and eval, after checking their flags."""
+    if args.strategy not in STRATEGY_KINDS:
+        raise UsageError(f"unknown strategy {args.strategy!r}, expected one of {STRATEGY_KINDS}")
+    if args.balance <= 0:
+        raise UsageError(f"--balance must be > 0, got {args.balance}")
     return FeatureConfig(
         a=args.a,
         b=args.b,
@@ -193,19 +198,16 @@ def _build_config(args) -> FeatureConfig:
 
 
 def _cmd_train(args) -> int:
-    if args.strategy not in STRATEGY_KINDS:
-        raise UsageError(f"unknown strategy {args.strategy!r}, expected one of {STRATEGY_KINDS}")
-    if args.balance is not None and args.balance <= 0:
-        raise UsageError(f"--balance must be > 0, got {args.balance}")
     start = time.perf_counter()
     config = _build_config(args)
     g = load_edge_list(args.graph)
-    if args.no_balance:
-        data = build_dataset(g, config)
-    else:
-        data = balanced_dataset(g, config, args.balance, config.seed)
-    parts = split(data, args.test_fraction, config.seed)
-    clf = train(parts.Xtrain, parts.ytrain, kind=args.classifier, seed=derive_seed(config.seed, "train"))
+    clf, parts = fit(
+        g,
+        config,
+        classifier=args.classifier,
+        balance_ratio=None if args.no_balance else args.balance,
+        test_fraction=args.test_fraction,
+    )
     clf.featurize_config = config_to_dict(config)
     save_model(clf, args.out)
     wall = time.perf_counter() - start
@@ -230,10 +232,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.strategy not in STRATEGY_KINDS:
-        raise UsageError(f"unknown strategy {args.strategy!r}, expected one of {STRATEGY_KINDS}")
-    if args.balance <= 0:
-        raise UsageError(f"--balance must be > 0, got {args.balance}")
     config = _build_config(args)
     g = load_edge_list(args.graph)
     runs = [("balanced", args.balance)]
@@ -274,10 +272,7 @@ def _cmd_complete(args) -> int:
     config = config_from_dict(clf.featurize_config)
     g = load_edge_list(args.graph)
     cfg = CompletionConfig(epsilon=args.epsilon, mode=args.mode, max_steps=args.max_steps)
-    if args.mode == "iterative":
-        trace = complete_iterative(g, clf, cfg, config)
-    else:
-        trace = complete_noniterative(g, clf, cfg, config)
+    trace = complete(g, clf, cfg, config)
     with open(args.out, "w", encoding="utf-8") as f:
         for step, batch in enumerate(trace.batches, 1):
             for u, v, score in batch:

@@ -9,7 +9,6 @@ regardless of worker count or completion order.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,10 +17,11 @@ from itertools import product
 import numpy as np
 
 from ._seeds import derive_seed
+from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, table_for
-from .featurize import FeatureConfig, balanced_dataset, build_dataset, split
+from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, split
 from .graph import Graph
-from .model import predict_scores, train
+from .model import Classifier, predict_scores, train
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def format_report(r: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-def run_experiment(
+def fit(
     g: Graph,
     config: FeatureConfig,
     *,
@@ -96,10 +96,9 @@ def run_experiment(
     classifier_params: dict | None = None,
     balance_ratio: float | None = 1.0,
     test_fraction: float = 0.25,
-    threshold: float = 0.5,
     table: CentralityTable | None = None,
-) -> MetricsReport:
-    """One full pipeline run, fully determined by config.seed.
+) -> tuple[Classifier, Split]:
+    """Featurize, balance, split and train; fully determined by config.seed.
 
     balance_ratio None skips balancing and keeps every candidate pair.
     Balancing happens before feature extraction (the kept-row choice only
@@ -119,6 +118,30 @@ def run_experiment(
         kind=classifier,
         params=classifier_params,
         seed=derive_seed(config.seed, "train"),
+    )
+    return clf, parts
+
+
+def run_experiment(
+    g: Graph,
+    config: FeatureConfig,
+    *,
+    classifier: str = "forest",
+    classifier_params: dict | None = None,
+    balance_ratio: float | None = 1.0,
+    test_fraction: float = 0.25,
+    threshold: float = 0.5,
+    table: CentralityTable | None = None,
+) -> MetricsReport:
+    """One full pipeline run: fit, then score and count the test rows."""
+    clf, parts = fit(
+        g,
+        config,
+        classifier=classifier,
+        classifier_params=classifier_params,
+        balance_ratio=balance_ratio,
+        test_fraction=test_fraction,
+        table=table,
     )
     scores = predict_scores(clf, parts.Xtest)
     y_pred = (scores >= threshold).astype(np.int8)
@@ -224,19 +247,11 @@ def export_csv(result: SweepResult, sink) -> None:
     empty metric fields so the grid stays complete."""
     if not result.cells:
         raise ValueError("cannot export an empty sweep result")
-    stream = sink
-    opened = False
-    if isinstance(sink, (str, os.PathLike)):
-        stream = open(sink, "w", encoding="utf-8", newline="")
-        opened = True
-    try:
+    with open_stream(sink, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for cell in result.cells:
             writer.writerow(csv_cell_row(cell))
-    finally:
-        if opened:
-            stream.close()
 
 
 def _ramp(t: float) -> str:
@@ -316,9 +331,6 @@ def render_heatmap(result: SweepResult, metric: str = "f1", sink=None) -> str:
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
     if sink is not None:
-        if isinstance(sink, (str, os.PathLike)):
-            with open(sink, "w", encoding="utf-8") as f:
-                f.write(svg)
-        else:
-            sink.write(svg)
+        with open_stream(sink, "w", encoding="utf-8") as stream:
+            stream.write(svg)
     return svg

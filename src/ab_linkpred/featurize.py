@@ -12,13 +12,14 @@ so every row has exactly 2*(a + a*a*b) + 2 values.
 from __future__ import annotations
 
 import csv
-import os
+import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._seeds import derive_seed
+from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, neighbor_orders, table_for
 from .graph import Graph
 
@@ -42,6 +43,9 @@ class FeatureConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.a < 1:
             raise ValueError(f"a must be >= 1, got {self.a}")
         if self.b < 0:
@@ -321,17 +325,9 @@ def split(d: Dataset, test_fraction: float, seed: int) -> Split:
 def export_dataset_csv(d: Dataset, g: Graph, sink) -> None:
     """CSV with header u,v,y,f1..fK: original labels for the pair, internal
     IDs for the K = row_length - 2 neighbor features."""
-    stream = sink
-    opened = False
-    if isinstance(sink, (str, os.PathLike)):
-        stream = open(sink, "w", encoding="utf-8", newline="")
-        opened = True
-    try:
+    with open_stream(sink, "w", encoding="utf-8", newline="") as stream:
         k = d.config.row_length - 2
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["u", "v", "y"] + [f"f{i}" for i in range(1, k + 1)])
         for row, label, (u, v) in zip(d.X, d.y, d.pairs):
             writer.writerow([g.labels[u], g.labels[v], int(label)] + [int(x) for x in row[:-2]])
-    finally:
-        if opened:
-            stream.close()

@@ -7,12 +7,13 @@ missing neighbors, so it never denotes a real node.
 
 from __future__ import annotations
 
-import os
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from ._streams import open_stream
 
 
 class EdgeListParseError(ValueError):
@@ -38,13 +39,12 @@ class Graph:
     completion stage adds edges, and it does so on its own copy.
     """
 
-    __slots__ = ("labels", "id_map", "_adj", "_nbrs", "edge_count", "skipped_self_loops")
+    __slots__ = ("labels", "id_map", "_adj", "edge_count", "skipped_self_loops")
 
     def __init__(self) -> None:
         self.labels: list[str] = ["<pad>"]  # labels[0] is the reserved padding slot
         self.id_map: dict[str, int] = {}
         self._adj: list[list[int]] = [[]]
-        self._nbrs: list[set[int]] = [set()]
         self.edge_count = 0
         self.skipped_self_loops = 0
 
@@ -60,16 +60,11 @@ class Graph:
             self.id_map[label] = node
             self.labels.append(label)
             self._adj.append([])
-            self._nbrs.append(set())
         return node
 
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
             raise ValueError(f"node ID {v} out of range 1..{self.node_count}")
-
-    def label_of(self, v: int) -> str:
-        self._check_node(v)
-        return self.labels[v]
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted neighbor IDs of v. The returned list is shared; do not mutate."""
@@ -83,7 +78,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._nbrs[u]
+        adj = self._adj[u]
+        i = bisect_left(adj, v)
+        return i < len(adj) and adj[i] == v
 
     def adjacency(self) -> np.ndarray:
         """Boolean (n+1, n+1) adjacency matrix; row and column 0 stay False."""
@@ -98,11 +95,11 @@ class Graph:
         self._check_node(v)
         if u == v:
             raise ValueError(f"self loop on node {u} not allowed")
-        if v not in self._nbrs[u]:
-            insort(self._adj[u], v)
+        adj = self._adj[u]
+        i = bisect_left(adj, v)
+        if i == len(adj) or adj[i] != v:
+            adj.insert(i, v)
             insort(self._adj[v], u)
-            self._nbrs[u].add(v)
-            self._nbrs[v].add(u)
             self.edge_count += 1
         return self
 
@@ -121,7 +118,6 @@ class Graph:
         g.labels = list(self.labels)
         g.id_map = dict(self.id_map)
         g._adj = [list(a) for a in self._adj]
-        g._nbrs = [set(s) for s in self._nbrs]
         g.edge_count = self.edge_count
         g.skipped_self_loops = self.skipped_self_loops
         return g
@@ -136,12 +132,7 @@ def load_edge_list(source) -> Graph:
     to one. Any other malformed line raises EdgeListParseError with its
     line number.
     """
-    stream = source
-    opened = False
-    if isinstance(source, (str, os.PathLike)):
-        stream = open(source, "r", encoding="utf-8")
-        opened = True
-    try:
+    with open_stream(source, "r", encoding="utf-8") as stream:
         g = Graph()
         for line_no, raw in enumerate(stream, 1):
             text = raw.strip()
@@ -157,26 +148,15 @@ def load_edge_list(source) -> Graph:
             v = g.intern(parts[1])
             g.add_edge(u, v)
         return g
-    finally:
-        if opened:
-            stream.close()
 
 
 def write_edge_list(g: Graph, sink) -> None:
     """Write one "label_u label_v" line per edge, using original labels."""
-    stream = sink
-    opened = False
-    if isinstance(sink, (str, os.PathLike)):
-        stream = open(sink, "w", encoding="utf-8")
-        opened = True
-    try:
+    with open_stream(sink, "w", encoding="utf-8") as stream:
         for u in range(1, g.node_count + 1):
             for v in g.neighbors(u):
                 if v > u:
                     stream.write(f"{g.labels[u]} {g.labels[v]}\n")
-    finally:
-        if opened:
-            stream.close()
 
 
 def stats(g: Graph) -> GraphStats:

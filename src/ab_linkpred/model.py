@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import derive_seed
+from ._streams import open_stream
 from .featurize import config_from_dict
 
 FORMAT_VERSION = 1
@@ -97,6 +98,13 @@ def _merged_params(kind: str, params: dict | None) -> dict:
 # ---------------------------------------------------------------------------
 # CART trees
 
+# A tree is flat node arrays of these dtypes; feature -1 marks a leaf.
+_TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32, "value": np.float64}
+
+
+def _tree_arrays(tree: dict) -> dict:
+    return {key: np.array(tree[key], dtype=dtype) for key, dtype in _TREE_DTYPES.items()}
+
 
 def _best_split(Xn: np.ndarray, ys: np.ndarray, min_leaf: int):
     """Best (column, threshold) by gini among all value boundaries, or None.
@@ -140,7 +148,7 @@ def _build_tree(
     n_features: int,
     bootstrap: bool,
 ) -> dict:
-    """Grow one tree; returns flat arrays (feature -1 marks a leaf).
+    """Grow one tree; returns its node arrays.
 
     The row sample (bootstrap or identity) is drawn first, then candidate
     features are drawn per node in a fixed depth-first build order, so the
@@ -199,13 +207,7 @@ def _build_tree(
         stack.append((right_id, idx[~go_left], depth + 1))
         stack.append((left_id, idx[go_left], depth + 1))
 
-    return {
-        "feature": np.array(feature, dtype=np.int32),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int32),
-        "right": np.array(right, dtype=np.int32),
-        "value": np.array(value, dtype=np.float64),
-    }
+    return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
 
 
 def _tree_leaf_values(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -243,12 +245,6 @@ def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict
             _build_tree(X, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
         )
     return {"trees": trees}
-
-
-def _train_tree(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
-    rng = np.random.default_rng(derive_seed(seed, "tree", 0))
-    tree = _build_tree(X, y, rng, params["max_depth"], params["min_leaf"], X.shape[1], bootstrap=False)
-    return {"trees": [tree]}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,8 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     if kind == "forest":
         payload = _train_forest(matrix, labels, merged, seed)
     elif kind == "tree":
-        payload = _train_tree(matrix, labels, merged, seed)
+        single = {**merged, "tree_count": 1, "feature_subsample": matrix.shape[1], "bootstrap": False}
+        payload = _train_forest(matrix, labels, single, seed)
     else:
         payload, loss_history = _train_logistic(matrix, labels, merged, seed)
     return Classifier(
@@ -350,14 +347,11 @@ def predict_label(c: Classifier, x, threshold: float = 0.5) -> int:
 # Serialization: versioned JSON, numbers kept at full round-trip precision
 
 
-_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
-
-
 def _payload_to_jsonable(c: Classifier) -> dict:
     if c.kind in ("forest", "tree"):
         return {
             "trees": [
-                {key: tree[key].tolist() for key in _TREE_KEYS}
+                {key: tree[key].tolist() for key in _TREE_DTYPES}
                 for tree in c.payload["trees"]
             ]
         }
@@ -366,18 +360,7 @@ def _payload_to_jsonable(c: Classifier) -> dict:
 
 def _payload_from_jsonable(kind: str, doc: dict) -> dict:
     if kind in ("forest", "tree"):
-        return {
-            "trees": [
-                {
-                    "feature": np.array(tree["feature"], dtype=np.int32),
-                    "threshold": np.array(tree["threshold"], dtype=np.float64),
-                    "left": np.array(tree["left"], dtype=np.int32),
-                    "right": np.array(tree["right"], dtype=np.int32),
-                    "value": np.array(tree["value"], dtype=np.float64),
-                }
-                for tree in doc["trees"]
-            ]
-        }
+        return {"trees": [_tree_arrays(tree) for tree in doc["trees"]]}
     return {"weights": np.array(doc["weights"], dtype=np.float64), "bias": float(doc["bias"])}
 
 
@@ -401,7 +384,7 @@ def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
         bad("the model holds no trees")
     for t, tree in enumerate(payload["trees"]):
         size = tree["feature"].size
-        if size == 0 or any(tree[key].shape != (size,) for key in _TREE_KEYS):
+        if size == 0 or any(tree[key].shape != (size,) for key in _TREE_DTYPES):
             bad(f"tree {t}: node arrays must be one-dimensional, nonempty and of equal length")
         feature, left, right = tree["feature"], tree["left"], tree["right"]
         splits = feature >= 0
@@ -432,11 +415,8 @@ def save_model(c: Classifier, sink=None) -> bytes:
     }
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if sink is not None:
-        if isinstance(sink, (str, os.PathLike)):
-            with open(sink, "wb") as f:
-                f.write(data)
-        else:
-            sink.write(data)
+        with open_stream(sink, "wb") as stream:
+            stream.write(data)
     return data
 
 

@@ -70,14 +70,43 @@ def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureCon
     return feat
 
 
-def _score_non_edges(g: Graph, model: Classifier, feat: FeatureConfig) -> list[tuple[int, int, float]]:
+def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> list[tuple[int, int, float]]:
+    """Every non-edge of g scoring at least epsilon, as (u, v, score) in
+    candidate-pair order."""
     u, v, edge = labeled_candidates(g)
-    non_edges = pair_list(u[~edge], v[~edge])
-    if not non_edges:
+    u, v = u[~edge], v[~edge]
+    if not len(u):
         return []
-    data = build_dataset(g, feat, pairs=non_edges)
-    scores = predict_scores(model, data.X)
-    return [(u, v, float(s)) for (u, v), s in zip(non_edges, scores)]
+    scores = predict_scores(model, build_dataset(g, feat, pairs=pair_list(u, v)).X)
+    keep = scores >= epsilon
+    return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist()))
+
+
+def complete(
+    g: Graph,
+    model: Classifier,
+    cfg: CompletionConfig,
+    feat: FeatureConfig | None = None,
+) -> CompletionTrace:
+    """Add every non-edge scoring >= epsilon, one batch per step.
+
+    Noniterative mode is a single step against g, recorded even when it adds
+    nothing. Iterative mode rescores each intermediate state and stops at
+    the first step that adds nothing (not recorded) or after max_steps
+    steps, so every recorded batch is nonempty.
+    """
+    feat = _feature_config(model, feat)
+    work = g.copy()
+    batches: list[list[tuple[int, int, float]]] = []
+    limit = 1 if cfg.mode == "noniterative" else cfg.max_steps
+    while limit is None or len(batches) < limit:
+        batch = _step(work, model, feat, cfg.epsilon)
+        if not batch and cfg.mode == "iterative":
+            break
+        for u, v, _ in batch:
+            work.add_edge(u, v)
+        batches.append(batch)
+    return CompletionTrace(batches=batches, final_graph=work)
 
 
 def complete_noniterative(
@@ -86,16 +115,10 @@ def complete_noniterative(
     cfg: CompletionConfig,
     feat: FeatureConfig | None = None,
 ) -> CompletionTrace:
-    """Score every non-edge against the original graph once; add all that
-    score >= epsilon as a single batch."""
+    """complete() for a config whose mode must be 'noniterative'."""
     if cfg.mode != "noniterative":
         raise ValueError(f"complete_noniterative needs mode 'noniterative', got {cfg.mode!r}")
-    feat = _feature_config(model, feat)
-    work = g.copy()
-    batch = [(u, v, s) for u, v, s in _score_non_edges(g, model, feat) if s >= cfg.epsilon]
-    for u, v, _ in batch:
-        work.add_edge(u, v)
-    return CompletionTrace(batches=[batch], final_graph=work)
+    return complete(g, model, cfg, feat)
 
 
 def complete_iterative(
@@ -104,23 +127,7 @@ def complete_iterative(
     cfg: CompletionConfig,
     feat: FeatureConfig | None = None,
 ) -> CompletionTrace:
-    """Repeatedly rescore the current non-edges and add qualifying batches.
-
-    Stops when a step adds nothing or after max_steps steps; each recorded
-    batch is nonempty and disjoint from all earlier states.
-    """
+    """complete() for a config whose mode must be 'iterative'."""
     if cfg.mode != "iterative":
         raise ValueError(f"complete_iterative needs mode 'iterative', got {cfg.mode!r}")
-    feat = _feature_config(model, feat)
-    work = g.copy()
-    batches: list[list[tuple[int, int, float]]] = []
-    step = 0
-    while cfg.max_steps is None or step < cfg.max_steps:
-        batch = [(u, v, s) for u, v, s in _score_non_edges(work, model, feat) if s >= cfg.epsilon]
-        if not batch:
-            break
-        for u, v, _ in batch:
-            work.add_edge(u, v)
-        batches.append(batch)
-        step += 1
-    return CompletionTrace(batches=batches, final_graph=work)
+    return complete(g, model, cfg, feat)

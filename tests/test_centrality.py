@@ -66,6 +66,8 @@ def test_strategy_validation():
         Strategy("pagerank")
     with pytest.raises(ValueError):
         Strategy("random")
+    with pytest.raises(ValueError):
+        Strategy("random", seed=1.0)
     Strategy("random", seed=1)
     Strategy("degree")
 

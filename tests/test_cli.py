@@ -93,6 +93,19 @@ def test_complete_rejects_unsafe_tree_with_exit_2(clique_file, tmp_path, corrupt
     assert "Traceback" not in done.stderr
 
 
+def test_complete_rejects_non_integer_feature_settings_with_exit_2(clique_file, tmp_path):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["featurize_config"].update(a=2.0, b=1.0)
+    model.write_text(json.dumps(doc))
+    done = run_module("complete", clique_file, "--model", model, "--epsilon", "0.5",
+                      "--mode", "iterative", "--out", tmp_path / "added.txt")
+    assert done.returncode == 2
+    assert "must be an integer" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_centrality_output_sorted_descending(clique_file, capsys):
     assert main(["centrality", str(clique_file), "--measure", "degree", "--top", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()

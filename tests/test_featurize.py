@@ -34,6 +34,10 @@ def test_config_validation_and_lengths():
         degree_cfg(0, 1)
     with pytest.raises(ValueError):
         degree_cfg(1, -1)
+    for a, b, seed in ((2.0, 1, 42), (2, 1.0, 42), (2, 1, 4.2), ("2", 1, 42)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            degree_cfg(a, b, seed=seed)
+    assert degree_cfg(np.int64(3), np.int64(2)).row_length == 44
     assert degree_cfg(3, 2).row_length == 44
     assert degree_cfg(2, 1).row_length == 14
 

@@ -95,6 +95,16 @@ def test_handshake_sum_over_random_graphs():
         n = random.Random(seed).randint(5, 40)
         g = graph_from_edges(gnm_edges(n, min(2 * n, n * (n - 1) // 2), seed=seed))
         assert sum(g.degree(v) for v in range(1, g.node_count + 1)) == 2 * g.edge_count
+        h = g.copy()
+        rng = random.Random(seed)
+        for _ in range(5):
+            u, v = rng.sample(range(1, n + 1), 2)
+            h.add_edge(u, v)
+        for graph in (g, h):
+            adj = graph.adjacency()
+            for u in range(1, n + 1):
+                for v in range(1, n + 1):
+                    assert graph.has_edge(u, v) == adj[u, v]
 
 
 def labeled_edges(g):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -20,7 +21,7 @@ from ab_linkpred import (
     train,
 )
 
-from graphgen import graph_from_edges, two_cliques_edges
+from graphgen import community_edges, graph_from_edges, two_cliques_edges
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,26 @@ def test_forest_single_tree_equals_tree_classifier():
     single = train(X, y, kind="tree", seed=9)
     probe = rng.integers(0, 130, size=(200, 6))
     assert np.array_equal(predict_scores(forest, probe), predict_scores(single, probe))
+
+
+# sha256 of save_model() for models trained on a fixed fixture with fixed
+# seeds. A change to training, tie-breaking or serialization moves these;
+# such a change must say so, since saved models and sweep results then
+# no longer reproduce across versions.
+GOLDEN_MODEL_DIGESTS = {
+    "forest": "78d1e68aa0a840e73b7931d8853f689626c2b33e2b2407621ba337ff7d02cd8e",
+    "tree": "41d9780a0a085b7b77821b6e9cd5f2a63005558e2743361690a7e1fc90a82256",
+    "logistic": "39bfefb711a0762d3bb63f9e2eba52136c6baf4d60352198c89b21bbcc93ff69",
+}
+
+
+@pytest.mark.parametrize("kind,params", [("forest", {"tree_count": 4}), ("tree", None), ("logistic", {"epochs": 50})])
+def test_model_bytes_match_golden_digests(kind, params):
+    g = graph_from_edges(community_edges(40, 120, communities=3, seed=2))
+    config = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
+    parts = split(balanced_dataset(g, config, 1.0), 0.25, 7)
+    clf = train(parts.Xtrain, parts.ytrain, kind=kind, params=params, seed=3)
+    assert hashlib.sha256(save_model(clf)).hexdigest() == GOLDEN_MODEL_DIGESTS[kind]
 
 
 def test_training_input_validation():
@@ -245,6 +266,8 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     ("payload", {"trees": [None]}),
     ("payload", {"trees": [{"feature": 1, "threshold": 0.5, "left": -1, "right": -1, "value": 0.5}]}),
     ("kind", ["forest"]),
+    ("featurize_config", {"a": 2.0, "b": 1.0, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 1}),
+    ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "random", "strategy_seed": 1.5, "mask_pair_edge": False, "seed": 1}),
 ])
 def test_load_rejects_bad_fields(small_forest_doc, field, value):
     doc = json.loads(small_forest_doc)
