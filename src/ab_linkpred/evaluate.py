@@ -19,7 +19,7 @@ import numpy as np
 from ._seeds import derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, table_for
-from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, split
+from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, config_to_dict, split
 from .graph import Graph
 from .model import Classifier, predict_scores, train
 
@@ -88,6 +88,20 @@ def format_report(r: MetricsReport) -> str:
     return "\n".join(lines)
 
 
+def cell_config(a: int, b: int, kind: str, seed: int, mask_pair_edge: bool = False) -> FeatureConfig:
+    """The FeatureConfig of one (a, b, strategy, seed) cell. The seed drives
+    every randomized stage, and the neighbor shuffle too when kind is random."""
+    strategy = Strategy(kind, seed=seed if kind == "random" else None)
+    return FeatureConfig(a=a, b=b, strategy=strategy, mask_pair_edge=mask_pair_edge, seed=seed)
+
+
+def score_rows(clf: Classifier, X, y, threshold: float = 0.5) -> MetricsReport:
+    """Label rows X positive where clf scores them >= threshold, and count
+    those labels against the true labels y."""
+    y_pred = (predict_scores(clf, X) >= threshold).astype(np.int8)
+    return metrics(confusion(y, y_pred))
+
+
 def fit(
     g: Graph,
     config: FeatureConfig,
@@ -103,7 +117,7 @@ def fit(
     balance_ratio None skips balancing and keeps every candidate pair.
     Balancing happens before feature extraction (the kept-row choice only
     needs labels), which is output-identical to extracting everything first
-    and then subsampling.
+    and then subsampling. The model carries config as its featurize_config.
     """
     if table is None:
         table = table_for(g, config.strategy)
@@ -119,6 +133,7 @@ def fit(
         params=classifier_params,
         seed=derive_seed(config.seed, "train"),
     )
+    clf.featurize_config = config_to_dict(config)
     return clf, parts
 
 
@@ -143,9 +158,7 @@ def run_experiment(
         test_fraction=test_fraction,
         table=table,
     )
-    scores = predict_scores(clf, parts.Xtest)
-    y_pred = (scores >= threshold).astype(np.int8)
-    return metrics(confusion(parts.ytest, y_pred))
+    return score_rows(clf, parts.Xtest, parts.ytest, threshold)
 
 
 @dataclass
@@ -199,8 +212,7 @@ def sweep(
 
     def run_cell(cell) -> SweepCell:
         a, b, kind, seed = cell
-        strategy = Strategy(kind, seed=seed if kind == "random" else None)
-        config = FeatureConfig(a=a, b=b, strategy=strategy, mask_pair_edge=mask_pair_edge, seed=seed)
+        config = cell_config(a, b, kind, seed, mask_pair_edge)
         start = time.perf_counter()
         try:
             report = run_experiment(

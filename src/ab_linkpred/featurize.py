@@ -191,9 +191,9 @@ def _pair_columns(pairs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def create_pair_features(g: Graph, u: int, v: int, config: FeatureConfig, table: CentralityTable | None = None) -> PairRow:
+def create_pair_features(g: Graph, u: int, v: int, config: FeatureConfig) -> PairRow:
     """Extract the feature row and label for one node pair: a one-row build_dataset."""
-    d = build_dataset(g, config, table=table, pairs=[(u, v)])
+    d = build_dataset(g, config, pairs=[(u, v)])
     return PairRow(x=d.X[0].tolist(), y=int(d.y[0]), u=u, v=v)
 
 

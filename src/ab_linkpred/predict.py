@@ -22,10 +22,10 @@ MODES = ("iterative", "noniterative")
 class CompletionConfig:
     """Threshold and mode of a completion run.
 
-    max_steps applies to the iterative mode; None means run to the fixed
-    point (termination is still guaranteed, the non-edge pool is finite and
-    every non-final step consumes from it). Each step considers every
-    non-edge of the current state.
+    max_steps caps the iterative mode and is an error in any other; None
+    means run to the fixed point (termination is still guaranteed, the
+    non-edge pool is finite and every non-final step consumes from it). Each
+    step considers every non-edge of the current state.
     """
 
     epsilon: float
@@ -39,6 +39,8 @@ class CompletionConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.max_steps is not None and self.mode != "iterative":
+            raise ValueError(f"max_steps applies to iterative mode only, got {self.max_steps} in mode {self.mode!r}")
 
 
 @dataclass
@@ -60,7 +62,7 @@ class CompletionTrace:
 def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureConfig:
     if feat is None:
         if model.featurize_config is None:
-            raise ValueError("model document carries no featurize settings; pass a FeatureConfig")
+            raise ValueError("model carries no featurize settings; pass a FeatureConfig or retrain with this package")
         feat = config_from_dict(model.featurize_config)
     if feat.row_length != model.feature_length:
         raise ValueError(

@@ -172,6 +172,59 @@ def test_sweep_rejects_bad_flags(clique_file, tmp_path, capsys):
     assert main(base + ["--threads", "0"]) == 1
 
 
+@pytest.fixture(scope="module")
+def bad_flag_inputs(tmp_path_factory):
+    """A graph and a model trained on it, in a directory of their own."""
+    root = tmp_path_factory.mktemp("inputs")
+    graph, model = root / "cliques.txt", root / "m.json"
+    graph.write_text(edge_text(two_cliques_edges(4)))
+    assert main(["train", str(graph), "--a", "1", "--b", "0", "--seed", "5", "--out", str(model)]) == 0
+    return graph, model
+
+
+BAD_FLAG_BASES = {
+    "train": ["--a", "1", "--b", "0", "--out", "OUT"],
+    "eval": ["--a", "1", "--b", "0"],
+    "sweep": ["--a-max", "1", "--b-max", "0", "--strategy", "degree", "--seeds", "1", "--out", "OUT"],
+    "complete": ["--model", "MODEL", "--epsilon", "0.5", "--mode", "iterative", "--out", "OUT"],
+    "centrality": ["--measure", "degree"],
+}
+BAD_FLAGS = [
+    *[(command, flags) for command in ("train", "eval") for flags in (
+        ["--a", "0"], ["--b", "-1"], ["--test-fraction", "0"], ["--test-fraction", "1.5"],
+        ["--threshold", "2"], ["--balance", "0"], ["--strategy", "pagerank"])],
+    ("train", ["--balance", "inf"]),
+    ("sweep", ["--a-max", "0"]),
+    ("sweep", ["--b-max", "-1"]),
+    ("sweep", ["--test-fraction", "0"]),
+    ("sweep", ["--threads", "0"]),
+    ("complete", ["--epsilon", "1.5"]),
+    ("complete", ["--max-steps", "-1"]),
+    ("complete", ["--mode", "noniterative", "--epsilon", "0.0", "--max-steps", "0"]),
+    ("centrality", ["--top", "0"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAGS, ids=[f"{c}:{'_'.join(f)}" for c, f in BAD_FLAGS])
+def test_bad_flag_value_exits_1_before_reading_or_writing(bad_flag_inputs, tmp_path, capsys, command, flags):
+    graph, model = bad_flag_inputs
+    for graph_path, model_path in ((graph, model), (tmp_path / "missing.txt", tmp_path / "missing.json")):
+        paths = {"OUT": str(tmp_path / "out"), "MODEL": str(model_path)}
+        argv = [command, str(graph_path)] + [paths.get(arg, arg) for arg in BAD_FLAG_BASES[command]] + flags
+        assert main(argv) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_env_error_names_the_variable(clique_file, tmp_path, monkeypatch, capsys):
+    base = ["sweep", str(clique_file), "--a-max", "1", "--b-max", "0", "--strategy", "degree", "--seeds", "1",
+            "--out", str(tmp_path / "r.csv")]
+    monkeypatch.setenv("AB_LINKPRED_THREADS", "zero")
+    assert main(base) == 1
+    assert "AB_LINKPRED_THREADS" in capsys.readouterr().err
+    assert main(base + ["--threads", "1"]) == 0  # an explicit flag wins over the variable
+
+
 def test_train_eval_complete_round_trip(clique_file, tmp_path, capsys):
     model = tmp_path / "m.json"
     assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5",

@@ -48,6 +48,8 @@ def test_config_validation():
         CompletionConfig(epsilon=0.5, mode="both")
     with pytest.raises(ValueError):
         CompletionConfig(epsilon=0.5, mode="iterative", max_steps=-1)
+    with pytest.raises(ValueError, match="iterative mode only"):
+        CompletionConfig(epsilon=0.0, mode="noniterative", max_steps=0)
 
 
 def test_mode_mismatch_and_length_mismatch(clique_setup):
