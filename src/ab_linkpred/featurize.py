@@ -12,6 +12,7 @@ so every row has exactly 2*(a + a*a*b) + 2 values.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -200,12 +201,8 @@ def create_pair_features(g: Graph, u: int, v: int, config: FeatureConfig) -> Pai
 def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | None = None, pairs=None) -> Dataset:
     """One row per candidate pair (or per given pair, in the given order).
 
-    Unmasked, a block depends on its root alone, so each distinct endpoint's
-    block is built once and the rows are gathered from that table. The mask
-    hides nothing unless the pair is an edge, so under mask_pair_edge only
-    the positive rows are rebuilt. The centrality table is computed when not
-    supplied. Explicit pairs must name two distinct nodes in 1..n, else
-    ValueError.
+    The centrality table is computed when not supplied. Explicit pairs must
+    name two distinct nodes in 1..n, else ValueError.
     """
     if pairs is None:
         u, v, edge = labeled_candidates(g)
@@ -214,6 +211,18 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
         pairs = list(pairs)
         u, v = _pair_columns(pairs, g.node_count)
         edge = g.adjacency()[u, v]
+    X = _feature_rows(g, config, u, v, edge, table)
+    return Dataset(X=X, y=edge.astype(np.int8), pairs=pairs, config=config)
+
+
+def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
+    """build_dataset's X for the endpoint columns u, v; edge says which pairs are edges.
+
+    Unmasked, a block depends on its root alone, so each distinct endpoint's
+    block is built once and the rows are gathered from that table. The mask
+    hides nothing unless the pair is an edge, so under mask_pair_edge only
+    the positive rows are rebuilt.
+    """
     if table is None:
         table = table_for(g, config.strategy)
     orders = neighbor_orders(g, config.strategy, table)
@@ -221,8 +230,8 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
     blocks = np.zeros((g.node_count + 1, k), dtype=np.int32)
     for root in np.unique(np.concatenate([u, v])).tolist():
         blocks[root] = _neighbor_block(orders, root, a, b, 0, 0)
-    X = np.empty((len(pairs), config.row_length), dtype=np.int32)
-    for lo in range(0, len(pairs), _GATHER_ROWS):
+    X = np.empty((len(u), config.row_length), dtype=np.int32)
+    for lo in range(0, len(u), _GATHER_ROWS):
         rows = slice(lo, lo + _GATHER_ROWS)
         X[rows, :k] = blocks[u[rows]]
         X[rows, k:2 * k] = blocks[v[rows]]
@@ -233,13 +242,13 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
             pu, pv = int(u[i]), int(v[i])
             X[i, :k] = _neighbor_block(orders, pu, a, b, pu, pv)
             X[i, k:2 * k] = _neighbor_block(orders, pv, a, b, pu, pv)
-    return Dataset(X=X, y=edge.astype(np.int8), pairs=pairs, config=config)
+    return X
 
 
 def _balanced_row_indices(y: np.ndarray, negative_ratio: float, seed: int) -> np.ndarray:
     """Indices keeping all positives plus a seeded sample of negatives."""
-    if negative_ratio <= 0:
-        raise ValueError(f"negative_ratio must be > 0, got {negative_ratio}")
+    if not 0 < negative_ratio < math.inf:
+        raise ValueError(f"negative_ratio must be a finite number > 0, got {negative_ratio}")
     pos = np.flatnonzero(y == 1)
     if len(pos) == 0:
         raise ValueError("cannot balance a dataset with no positive rows")

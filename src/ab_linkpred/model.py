@@ -5,8 +5,12 @@ models serialize to plain JSON:
 
 * forest (default): bagged CART trees with gini splits; the score is the
   fraction of trees voting positive. Raw node-ID features are close to
-  categorical, which axis-aligned splits handle well.
-* tree: a single CART tree; the score is the positive fraction at the leaf.
+  categorical, which axis-aligned splits handle well. Each tree is grown
+  level by level, with its bootstrap sample kept as distinct rows weighted
+  by their draw counts, and candidate columns drawn once per level; a node
+  whose drawn columns hold no valid split tries further columns.
+* tree: a single CART tree on every row and column; the score is the
+  positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
   sigmoid of the linear response.
 """
@@ -106,41 +110,97 @@ def _tree_arrays(tree: dict) -> dict:
     return {key: np.array(tree[key], dtype=dtype) for key, dtype in _TREE_DTYPES.items()}
 
 
-def _best_split(Xn: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Best (column, threshold) by gini among all value boundaries, or None.
+def _small_int(top: int):
+    """uint16 when it holds 0..top: numpy sorts 16-bit keys by radix, several times faster."""
+    return np.uint16 if top < 2**16 else np.int64
 
-    Maximizing sum over both sides of (pos^2 + neg^2) / size is equivalent
-    to minimizing the weighted gini impurity. Ties resolve to the smallest
-    split position, then the lowest column, so rebuilds are identical.
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its column."""
+    ranks = np.empty(X.shape, dtype=_small_int(X.shape[0] - 1))
+    for col in range(X.shape[1]):
+        ranks[:, col] = np.unique(X[:, col], return_inverse=True)[1]
+    return ranks
+
+
+def _level_splits(
+    X: np.ndarray,
+    ranks: np.ndarray,
+    rows: np.ndarray,
+    weight: np.ndarray,
+    pos_weight: np.ndarray,
+    sizes: np.ndarray,
+    cols: np.ndarray,
+    min_leaf: int,
+):
+    """Best split of each node of a level among its candidate columns.
+
+    The entries (rows, weight, pos_weight) are grouped by node, sizes[i] of
+    them for node i, whose candidate columns are cols[i]. Returns per node
+    the split column (-1 where no boundary is valid), the rank on the left
+    side of the cut, and the threshold.
     """
-    m = Xn.shape[0]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys_sorted = ys[order]
-    cum_pos = np.cumsum(ys_sorted, axis=0, dtype=np.int64)
-    total_pos = cum_pos[-1]
-    left_n = np.arange(1, m, dtype=np.int64)[:, None]
-    left_pos = cum_pos[:-1]
-    right_pos = total_pos[None, :] - left_pos
-    right_n = m - left_n
-    valid = xs[1:] != xs[:-1]
+    nodes, k = cols.shape
+    total_features = ranks.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    node_n = np.add.reduceat(weight, starts)
+    node_pos = np.add.reduceat(pos_weight, starts)
+    node = np.repeat(np.arange(nodes), sizes)
+    split_col = np.full(nodes, -1, dtype=np.intp)
+    cut = np.zeros(nodes, dtype=ranks.dtype)
+    threshold = np.zeros(nodes)
+
+    # Entry e * k + j is row e under its node's j-th column; sort the
+    # entries by (segment, rank).
+    seg = (node[:, None] * k + np.arange(k)).ravel().astype(_small_int(nodes * k))
+    rank = ranks.ravel()[((rows * total_features)[:, None] + cols[node]).ravel()]
+    order = np.lexsort((rank, seg))
+    entry = order // k
+    s_seg, s_rank = seg[order], rank[order]
+    cum_n = np.cumsum(weight[entry])
+    cum_pos = np.cumsum(pos_weight[entry])
+
+    # Boundaries between distinct values inside a segment; left side ends at b.
+    b = np.flatnonzero((s_rank[1:] != s_rank[:-1]) & (s_seg[1:] == s_seg[:-1]))
+    bseg = s_seg[b].astype(np.intp)
+    # Every segment of a node holds the node's rows, so the sums before
+    # segment (i, j) are k times those of nodes before i plus j times i's.
+    before_n = ((np.cumsum(node_n) - node_n)[:, None] * k + np.arange(k) * node_n[:, None]).ravel()
+    before_pos = ((np.cumsum(node_pos) - node_pos)[:, None] * k + np.arange(k) * node_pos[:, None]).ravel()
+    left_n = cum_n[b] - before_n[bseg]
+    left_pos = cum_pos[b] - before_pos[bseg]
+    bnode = bseg // k
+    right_n = node_n[bnode] - left_n
+    right_pos = node_pos[bnode] - left_pos
     if min_leaf > 1:
-        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+        b, bseg, bnode, left_n, left_pos, right_n, right_pos = (
+            arr[ok] for arr in (b, bseg, bnode, left_n, left_pos, right_n, right_pos)
+        )
+    if not len(b):
+        return split_col, cut, threshold
     purity = (
         (left_pos * left_pos + (left_n - left_pos) ** 2) / left_n
         + (right_pos * right_pos + (right_n - right_pos) ** 2) / right_n
     )
-    purity = np.where(valid, purity, -1.0)
-    flat = int(np.argmax(purity))
-    if purity.flat[flat] < 0:
-        return None
-    i, col = divmod(flat, Xn.shape[1])
-    threshold = (float(xs[i, col]) + float(xs[i + 1, col])) / 2.0
-    return col, threshold
+    per_node = np.bincount(bnode)
+    per_node = per_node[per_node > 0]
+    first = np.cumsum(per_node) - per_node
+    best = purity == np.repeat(np.maximum.reduceat(purity, first), per_node)
+    tie = np.where(best, left_n * k + bseg % k, np.iinfo(np.int64).max)
+    chosen = np.flatnonzero(tie == np.repeat(np.minimum.reduceat(tie, first), per_node))
+    at = b[chosen]
+    split = bnode[chosen]
+    split_col[split] = cols[split, bseg[chosen] % k]
+    cut[split] = s_rank[at]
+    below, above = (X[rows[entry[i]], split_col[split]].astype(np.float64) for i in (at, at + 1))
+    threshold[split] = (below + above) / 2.0
+    return split_col, cut, threshold
 
 
-def _build_tree(
+def _grow_tree(
     X: np.ndarray,
+    ranks: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
     max_depth: int | None,
@@ -148,66 +208,130 @@ def _build_tree(
     n_features: int,
     bootstrap: bool,
 ) -> dict:
-    """Grow one tree; returns its node arrays.
+    """Grow one tree level by level; returns its node arrays.
 
-    The row sample (bootstrap or identity) is drawn first, then candidate
-    features are drawn per node in a fixed depth-first build order, so the
-    tree is fully determined by (data, params, rng seed).
+    ranks holds the _dense_ranks of X.
+    The bootstrap sample is drawn first and kept as distinct rows with
+    integer weights. Each depth level is handled by one _level_splits call
+    (or a few, see below): the entries (frontier node, candidate column,
+    row) are sorted by rank within each (node, column) segment, and every
+    boundary between distinct values is scored by weighted cumulative
+    counts. A node splits at the boundary of maximum gini purity, sum over
+    both sides of (pos^2 + neg^2) / size; ties go to the smallest left
+    count, then the lowest column. The threshold is the midpoint of the two
+    values at the boundary.
+
+    When fewer than all columns are candidates, each splittable node of a
+    level gets one random key per column, drawn once per level in level
+    order, and its candidates are the n_features columns of lowest key. A
+    node with no valid boundary among them goes on to the next n_features
+    columns in key order, until one block splits it or the columns run out,
+    so an unlucky draw of constant columns does not end a branch that could
+    still be split.
+
+    The nodes are finally numbered in depth-first order: the children of
+    the j-th split node in preorder are 2j+1 and 2j+2. The tree is fully
+    determined by (data, params, rng seed).
     """
-    m, total_features = X.shape
+    m, total_features = ranks.shape
     if bootstrap:
-        row_idx = rng.integers(0, m, size=m)
+        rows, weight = np.unique(rng.integers(0, m, size=m), return_counts=True)
     else:
-        row_idx = np.arange(m)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    stack = [(new_node(), row_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        ys = y[idx]
-        pos = int(ys.sum())
-        count = len(idx)
-        value[node] = pos / count
-        if (
-            pos == 0
-            or pos == count
-            or count < 2 * min_leaf
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            continue
+        rows, weight = np.arange(m), np.ones(m, dtype=np.int64)
+    pos_weight = weight * y[rows]
+    sizes = np.array([len(rows)])  # entries of each frontier node; entries are grouped by node
+    levels = []  # per depth: (value, feature, threshold) of its nodes, in level order
+    depth = 0
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        count = np.add.reduceat(weight, starts)
+        pos = np.add.reduceat(pos_weight, starts)
+        feature = np.full(len(sizes), -1, dtype=np.int32)
+        threshold = np.zeros(len(sizes))
+        levels.append((pos / count, feature, threshold))
+        splittable = (pos > 0) & (pos < count) & (count >= 2 * min_leaf)
+        if max_depth is not None and depth >= max_depth or not splittable.any():
+            break
+        keep = np.repeat(splittable, sizes)
+        rows, weight, pos_weight = rows[keep], weight[keep], pos_weight[keep]
+        open_nodes = np.flatnonzero(splittable)
+        sizes = sizes[open_nodes]
         if n_features < total_features:
-            cols = np.sort(rng.choice(total_features, size=n_features, replace=False))
+            column_order = np.argsort(rng.random((len(open_nodes), total_features)), axis=1, kind="stable")
         else:
-            cols = np.arange(total_features)
-        found = _best_split(X[idx[:, None], cols[None, :]], ys, min_leaf)
-        if found is None:
-            continue
-        col_local, thr = found
-        col = int(cols[col_local])
-        go_left = X[idx, col] <= thr
-        feature[node] = col
-        threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
+            column_order = np.broadcast_to(np.arange(total_features), (len(open_nodes), total_features))
 
-    return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
+        split_col = np.full(len(open_nodes), -1, dtype=np.intp)
+        cut = np.zeros(len(open_nodes), dtype=ranks.dtype)
+        todo = np.arange(len(open_nodes))  # open nodes still without a split
+        entries = rows, weight, pos_weight  # the entries of the todo nodes
+        for lo in range(0, total_features, n_features):
+            cols = np.sort(column_order[todo, lo:lo + n_features], axis=1)
+            col, at_rank, at_threshold = _level_splits(X, ranks, *entries, sizes[todo], cols, min_leaf)
+            found = col >= 0
+            split_col[todo[found]] = col[found]
+            cut[todo[found]] = at_rank[found]
+            threshold[open_nodes[todo[found]]] = at_threshold[found]
+            if found.all():
+                break
+            keep = np.repeat(~found, sizes[todo])
+            entries = tuple(arr[keep] for arr in entries)
+            todo = todo[~found]
+        split_open = np.flatnonzero(split_col >= 0)
+        if not len(split_open):
+            break
+        feature[open_nodes[split_open]] = split_col[split_open]
+
+        # Next frontier: the rows of each split node, left child then right.
+        # Rows go by rank, which agrees with X <= threshold whenever the
+        # midpoint lies below the right-hand value, and never empties a child.
+        child_of = np.full(len(open_nodes), -1, dtype=np.int64)
+        child_of[split_open] = 2 * np.arange(len(split_open))
+        node = np.repeat(np.arange(len(open_nodes)), sizes)
+        child = child_of[node]
+        moved = child >= 0
+        child = child[moved] + (ranks[rows[moved], split_col[node[moved]]] > cut[node[moved]])
+        order = np.argsort(child.astype(_small_int(2 * len(split_open))), kind="stable")
+        rows, weight, pos_weight = rows[moved][order], weight[moved][order], pos_weight[moved][order]
+        sizes = np.bincount(child)
+        depth += 1
+    return _depth_first_arrays(levels)
+
+
+def _depth_first_arrays(levels: list) -> dict:
+    """Node arrays in depth-first numbering from per-level node arrays.
+
+    Within a level, the children of the i-th split node of the level above
+    are nodes 2i and 2i+1.
+    """
+    splits = [feature >= 0 for _, feature, _ in levels]
+    size = [np.ones(len(s), dtype=np.int64) for s in splits]
+    for d in range(len(levels) - 2, -1, -1):
+        size[d][splits[d]] += size[d + 1][0::2] + size[d + 1][1::2]
+    pre = [np.zeros(1, dtype=np.int64)]  # preorder position
+    for d in range(len(levels) - 1):
+        parent = pre[d][splits[d]]
+        child = np.empty(2 * len(parent), dtype=np.int64)
+        child[0::2] = parent + 1
+        child[1::2] = parent + 1 + size[d + 1][0::2]
+        pre.append(child)
+    is_split = np.concatenate(splits)
+    split_pre = np.concatenate(pre)[is_split]
+    j = np.empty(len(split_pre), dtype=np.int64)
+    j[np.argsort(split_pre)] = np.arange(len(split_pre))
+    new_id = np.zeros(len(is_split), dtype=np.int64)
+    new_id[1:] = 2 * np.repeat(j, 2) + np.tile([1, 2], len(j))
+    n = len(is_split)
+    left = np.full(n, -1, dtype=np.int64)
+    right = np.full(n, -1, dtype=np.int64)
+    left[new_id[is_split]] = 2 * j + 1
+    right[new_id[is_split]] = 2 * j + 2
+    out = {"left": left, "right": right}
+    for key, col in (("value", 0), ("feature", 1), ("threshold", 2)):
+        arr = np.empty(n, dtype=_TREE_DTYPES[key])
+        arr[new_id] = np.concatenate([level[col] for level in levels])
+        out[key] = arr
+    return _tree_arrays(out)
 
 
 def _tree_leaf_values(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -238,11 +362,12 @@ def _resolve_feature_count(total: int, requested) -> int:
 
 def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
     n_features = _resolve_feature_count(X.shape[1], params["feature_subsample"])
+    ranks = _dense_ranks(X)
     trees = []
     for t in range(int(params["tree_count"])):
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         trees.append(
-            _build_tree(X, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
+            _grow_tree(X, ranks, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
         )
     return {"trees": trees}
 
@@ -290,9 +415,14 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, params: dict, seed: int):
 
 
 def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42) -> Classifier:
-    """Fit a classifier; deterministic given (data, kind, params, seed)."""
+    """Fit a classifier; deterministic given (data, kind, params, seed).
+
+    Feature values must be finite numbers and labels 0 or 1, else ValueError.
+    """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])
+    if matrix.dtype.kind not in "biuf" or not np.isfinite(matrix).all():
+        raise ValueError("feature values must be finite numbers")
     if matrix.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
     if labels.min() == labels.max():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .featurize import FeatureConfig, build_dataset, config_from_dict, labeled_candidates, pair_list
+from .featurize import FeatureConfig, _feature_rows, config_from_dict, labeled_candidates
 from .graph import Graph
 from .model import Classifier, predict_scores
 
@@ -76,10 +76,10 @@ def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> l
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
     candidate-pair order."""
     u, v, edge = labeled_candidates(g)
-    u, v = u[~edge], v[~edge]
+    u, v, edge = u[~edge], v[~edge], edge[~edge]
     if not len(u):
         return []
-    scores = predict_scores(model, build_dataset(g, feat, pairs=pair_list(u, v)).X)
+    scores = predict_scores(model, _feature_rows(g, feat, u, v, edge, None))
     keep = scores >= epsilon
     return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist()))
 

@@ -4,16 +4,20 @@ Deliberately independent of the library's BFS-accumulation code paths:
 distances come from Floyd-Warshall and betweenness from explicit
 enumeration of every shortest path. The feature reference rebuilds both
 neighbor blocks of every pair one by one, the plain form of the block
-table that build_dataset gathers from.
+table that build_dataset gathers from. The tree reference grows a CART
+tree one node and one full sort per split, the plain form of the
+level-wise builder that train uses.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
 
 from ab_linkpred import Dataset, ordered_neighbors, table_for
+from ab_linkpred.model import _tree_arrays
 
 INF = float("inf")
 
@@ -140,3 +144,99 @@ def reference_dataset(g, config, pairs=None):
         X[i] = row + [u, v]
         y[i] = 1 if g.has_edge(u, v) else 0
     return Dataset(X=X, y=y, pairs=pair_list, config=config)
+
+
+def _best_split(Xn, ys, min_leaf):
+    """Best (column, threshold) by gini among all value boundaries, or None.
+
+    Maximizing sum over both sides of (pos^2 + neg^2) / size is equivalent
+    to minimizing the weighted gini impurity. Ties resolve to the smallest
+    split position, then the lowest column.
+    """
+    m = Xn.shape[0]
+    order = np.argsort(Xn, axis=0, kind="stable")
+    xs = np.take_along_axis(Xn, order, axis=0)
+    ys_sorted = ys[order]
+    cum_pos = np.cumsum(ys_sorted, axis=0, dtype=np.int64)
+    total_pos = cum_pos[-1]
+    left_n = np.arange(1, m, dtype=np.int64)[:, None]
+    left_pos = cum_pos[:-1]
+    right_pos = total_pos[None, :] - left_pos
+    right_n = m - left_n
+    valid = xs[1:] != xs[:-1]
+    if min_leaf > 1:
+        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+    purity = (
+        (left_pos * left_pos + (left_n - left_pos) ** 2) / left_n
+        + (right_pos * right_pos + (right_n - right_pos) ** 2) / right_n
+    )
+    purity = np.where(valid, purity, -1.0)
+    flat = int(np.argmax(purity))
+    if purity.flat[flat] < 0:
+        return None
+    i, col = divmod(flat, Xn.shape[1])
+    threshold = (float(xs[i, col]) + float(xs[i + 1, col])) / 2.0
+    return col, threshold
+
+
+def reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap):
+    """One CART tree grown one node at a time in level order; returns its node arrays.
+
+    The row sample (bootstrap, with repeats, or identity) is drawn first.
+    Each splittable node, taken first in first out, then draws one key per
+    column when fewer than all columns are candidates, and tries blocks of
+    n_features columns in key order until one holds a valid split. The
+    nodes are numbered depth first: a node's children get the next two
+    node IDs when it splits, so the j-th split node in preorder has
+    children 2j+1 and 2j+2.
+    """
+    m, total_features = X.shape
+    row_idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
+    root = {"idx": row_idx, "depth": 0}
+    queue = collections.deque([root])
+    while queue:
+        node = queue.popleft()
+        idx = node["idx"]
+        ys = y[idx]
+        pos = int(ys.sum())
+        count = len(idx)
+        node["value"] = pos / count
+        if pos == 0 or pos == count or count < 2 * min_leaf or (max_depth is not None and node["depth"] >= max_depth):
+            continue
+        if n_features < total_features:
+            column_order = np.argsort(rng.random(total_features), kind="stable")
+        else:
+            column_order = np.arange(total_features)
+        for lo in range(0, total_features, n_features):
+            cols = np.sort(column_order[lo:lo + n_features])
+            found = _best_split(X[idx[:, None], cols[None, :]], ys, min_leaf)
+            if found is not None:
+                break
+        if found is None:
+            continue
+        col = int(cols[found[0]])
+        go_left = X[idx, col] <= found[1]
+        node["split"] = (col, found[1])
+        node["children"] = [{"idx": idx[side], "depth": node["depth"] + 1} for side in (go_left, ~go_left)]
+        queue.extend(node["children"])
+
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(node):
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, node["value"])):
+            column.append(blank)
+        return len(feature) - 1
+
+    stack = [(new_node(root), root)]
+    while stack:
+        i, node = stack.pop()
+        if "split" not in node:
+            continue
+        feature[i], threshold[i] = node["split"]
+        low, high = node["children"]
+        left[i] = new_node(low)
+        right[i] = new_node(high)
+        stack.append((right[i], high))
+        stack.append((left[i], low))
+
+    return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})

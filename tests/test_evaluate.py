@@ -93,6 +93,13 @@ def test_run_experiment_empty_graph_errors():
         run_experiment(g, cfg)
 
 
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+def test_run_experiment_rejects_non_finite_balance_ratio(two_k6, ratio):
+    cfg = FeatureConfig(a=1, b=0, strategy=Strategy("degree"), seed=1)
+    with pytest.raises(ValueError, match="negative_ratio must be a finite number > 0"):
+        run_experiment(two_k6, cfg, balance_ratio=ratio)
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     g = graph_from_edges(gnm_edges(20, 45, seed=2))

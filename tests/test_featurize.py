@@ -244,6 +244,15 @@ def test_balance_requires_positives_and_positive_ratio():
         balance(build_dataset(g2, degree_cfg(1, 0)), 0.0, seed=1)
 
 
+@pytest.mark.parametrize("ratio", [float("inf"), float("-inf"), float("nan"), -1.0])
+def test_balance_rejects_non_finite_ratio_with_value_error(ratio):
+    g = graph_from_edges(gnm_edges(20, 40, seed=3))
+    d = build_dataset(g, degree_cfg(1, 0))
+    for call in (lambda: balance(d, ratio, seed=1), lambda: balanced_dataset(g, degree_cfg(1, 0), ratio)):
+        with pytest.raises(ValueError, match="negative_ratio must be a finite number > 0"):
+            call()
+
+
 def test_balanced_dataset_matches_unfused_pipeline():
     g = graph_from_edges(gnm_edges(45, 120, seed=8))
     for cfg in (degree_cfg(2, 1, seed=9), random_cfg(3, 0, seed=9)):

@@ -21,7 +21,11 @@ from ab_linkpred import (
     train,
 )
 
+from ab_linkpred._seeds import derive_seed
+from ab_linkpred.model import _train_forest
+
 from graphgen import community_edges, graph_from_edges, two_cliques_edges
+from oracles import reference_tree
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,16 @@ def test_forest_unanimous_vote_is_exactly_one(clique_split):
     assert positives.max() == 1.0  # separable data: some row gets every tree's vote
 
 
+def test_forest_trees_split_past_constant_column_draws(clique_split):
+    # 14 of the 26 columns are constant, so about 3% of root draws of 5
+    # columns hold no boundary; such a node must try further columns
+    # instead of ending the tree as one leaf.
+    X, y = clique_split.Xtrain, clique_split.ytrain
+    assert (X.min(axis=0) == X.max(axis=0)).sum() == 14
+    clf = train(X, y, seed=3)
+    assert all(tree["feature"][0] >= 0 for tree in clf.payload["trees"])
+
+
 def test_predict_label_threshold_semantics():
     clf = train([[1.0], [9.0]], [0, 1], kind="logistic", params={"learning_rate": 0.5, "epochs": 200})
     x = [9.0]
@@ -129,12 +143,113 @@ def test_forest_single_tree_equals_tree_classifier():
     assert np.array_equal(predict_scores(forest, probe), predict_scores(single, probe))
 
 
+def _golden_fixture_rows():
+    g = graph_from_edges(community_edges(40, 120, communities=3, seed=2))
+    config = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
+    parts = split(balanced_dataset(g, config, 1.0), 0.25, 7)
+    return parts.Xtrain, parts.ytrain
+
+
+def _feature_columns(kind):
+    """Training rows of one column kind: node IDs from a graph, quarter-step
+    floats, or negative integers."""
+    if kind == "graph":
+        X, y = _golden_fixture_rows()
+        return X, y.astype(np.int64)
+    rng = np.random.default_rng(0)
+    if kind == "float":
+        X = rng.integers(-6, 6, size=(120, 4)) / 4.0
+    else:
+        X = -rng.integers(0, 9, size=(120, 5))
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=120) > X[:, :2].sum(axis=1).mean()).astype(np.int64)
+    return X, y
+
+
+def _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap, seed, tree_count=1, n_features=None):
+    """The level-wise builder against reference_tree, byte for byte; every column is drawn by default."""
+    n_features = X.shape[1] if n_features is None else n_features
+    params = {"tree_count": tree_count, "max_depth": max_depth, "min_leaf": min_leaf,
+              "feature_subsample": n_features, "bootstrap": bootstrap}
+    for t, tree in enumerate(_train_forest(X, y, params, seed)["trees"]):
+        rng = np.random.default_rng(derive_seed(seed, "tree", t))
+        want = reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap)
+        for key in want:
+            assert tree[key].dtype == want[key].dtype, key
+            assert tree[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("columns", ["graph", "float", "negative"])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 4])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("bootstrap_seed", [None, 3, 8])
+def test_level_wise_tree_matches_reference_with_every_column(columns, max_depth, min_leaf, bootstrap_seed):
+    X, y = _feature_columns(columns)
+    seed = 1 if bootstrap_seed is None else bootstrap_seed
+    _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap_seed is not None, seed)
+
+
+@pytest.mark.parametrize("columns", ["graph", "clique", "float", "negative"])
+@pytest.mark.parametrize("max_depth", [None, 2])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+@pytest.mark.parametrize("n_features", [1, 2, 3])
+def test_level_wise_forest_matches_reference_with_column_draws(columns, max_depth, min_leaf, n_features, clique_split):
+    if columns == "clique":
+        X, y = clique_split.Xtrain, clique_split.ytrain.astype(np.int64)
+    else:
+        X, y = _feature_columns(columns)
+    _assert_matches_reference(X, y, max_depth, min_leaf, True, 5, tree_count=3, n_features=n_features)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 4),
+    span=st.integers(1, 4),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.one_of(st.none(), st.integers(0, 5)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_level_wise_tree_matches_reference_on_tied_values(data, rows, cols, span, min_leaf, max_depth, bootstrap, seed):
+    X = np.array(data.draw(st.lists(st.lists(st.integers(-span, span), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap, seed, tree_count=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    rows=st.integers(2, 40),
+    cols=st.integers(2, 6),
+    span=st.integers(1, 4),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.one_of(st.none(), st.integers(0, 5)),
+    seed=st.integers(0, 2**16),
+)
+def test_level_wise_forest_matches_reference_with_column_draws_on_tied_values(data, rows, cols, span, min_leaf, max_depth, seed):
+    X = np.array(data.draw(st.lists(st.lists(st.integers(-span, span), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    n_features = data.draw(st.integers(1, cols - 1))
+    _assert_matches_reference(X, y, max_depth, min_leaf, True, seed, tree_count=2, n_features=n_features)
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_train_rejects_non_finite_feature_values(kind, bad):
+    X = np.array([[2.0, 1.0], [bad, 1.0], [3.0, 0.0], [5.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        train(X, [0, 1, 0, 1], kind=kind, seed=1)
+
+
 # sha256 of save_model() for models trained on a fixed fixture with fixed
 # seeds. A change to training, tie-breaking or serialization moves these;
 # such a change must say so, since saved models and sweep results then
 # no longer reproduce across versions.
 GOLDEN_MODEL_DIGESTS = {
-    "forest": "78d1e68aa0a840e73b7931d8853f689626c2b33e2b2407621ba337ff7d02cd8e",
+    "forest": "d45497efa76a0599e5d3e01f7ff5673eb7764ad355b549409dd2491d39c1f819",
     "tree": "41d9780a0a085b7b77821b6e9cd5f2a63005558e2743361690a7e1fc90a82256",
     "logistic": "39bfefb711a0762d3bb63f9e2eba52136c6baf4d60352198c89b21bbcc93ff69",
 }
@@ -142,10 +257,8 @@ GOLDEN_MODEL_DIGESTS = {
 
 @pytest.mark.parametrize("kind,params", [("forest", {"tree_count": 4}), ("tree", None), ("logistic", {"epochs": 50})])
 def test_model_bytes_match_golden_digests(kind, params):
-    g = graph_from_edges(community_edges(40, 120, communities=3, seed=2))
-    config = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
-    parts = split(balanced_dataset(g, config, 1.0), 0.25, 7)
-    clf = train(parts.Xtrain, parts.ytrain, kind=kind, params=params, seed=3)
+    X, y = _golden_fixture_rows()
+    clf = train(X, y, kind=kind, params=params, seed=3)
     assert hashlib.sha256(save_model(clf)).hexdigest() == GOLDEN_MODEL_DIGESTS[kind]
 
 
