@@ -2,22 +2,26 @@
 
 Feature extraction consumes neighbors in a per-node order: either a seeded
 shuffle or descending centrality (degree, betweenness, or closeness) with
-ties broken by ascending node ID. Only the ordering matters downstream, so
-all measures are kept unnormalized.
+ties broken by ascending node ID; scores are compared rounded to 12
+significant digits, so scores equal in exact arithmetic tie. Only the
+ordering matters downstream, so all measures are kept unnormalized.
+Betweenness and closeness are read from one shared shortest-path pass.
 """
 
 from __future__ import annotations
 
 import numbers
 import random
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._seeds import derive_seed
 from .graph import Graph
 
 MEASURES = ("degree", "betweenness", "closeness")
 STRATEGY_KINDS = ("random",) + MEASURES
+_BLOCK = 128  # BFS sources per block of the shortest-path pass
 
 
 @dataclass(frozen=True)
@@ -49,67 +53,59 @@ def degree_centrality(g: Graph) -> CentralityTable:
     return CentralityTable("degree", values)
 
 
-def betweenness_centrality(g: Graph) -> CentralityTable:
-    """Unnormalized betweenness over unordered pairs.
+def _shortest_paths(g: Graph) -> tuple[list[float], list[float]]:
+    """Betweenness and closeness of every node from one shortest-path pass.
 
-    Single-source BFS accumulation (Brandes): each source contributes path
-    dependencies to every intermediate node; summing over all sources counts
-    each unordered pair twice, hence the final halving. Disconnected pairs
-    contribute nothing.
+    BFS runs from _BLOCK sources at a time, level by level: a level's path
+    counts are the previous level's counts times the adjacency matrix.
+    Dependencies then flow back level by level, as in Brandes' accumulation,
+    in the algebraic form of Kepner & Gilbert (SIAM 2011). Memory is one
+    n x n float adjacency plus O(_BLOCK x n) arrays per block. Closeness is
+    computed from integer counts, so its floats are exact quotients.
     """
     n = g.node_count
-    bc = [0.0] * (n + 1)
-    for s in range(1, n + 1):
-        dist = [-1] * (n + 1)
-        sigma = [0] * (n + 1)
-        preds: list[list[int]] = [[] for _ in range(n + 1)]
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        order: list[int] = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv1 = dist[v] + 1
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dv1
-                    queue.append(w)
-                if dist[w] == dv1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * (n + 1)
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    return CentralityTable("betweenness", [x / 2.0 for x in bc])
+    adj = g.adjacency()[1:, 1:].astype(np.float64)
+    bc = np.zeros(n)
+    closeness = [0.0] * (n + 1)
+    for lo in range(0, n, _BLOCK):
+        # Row i searches from node lo + i + 1: one path to itself, at distance 0.
+        sigma = np.eye(min(_BLOCK, n - lo), n, lo)
+        dist = sigma.astype(np.int64) - 1
+        frontier = sigma
+        depth = 0
+        while True:
+            frontier = np.where(dist < 0, frontier @ adj, 0.0)
+            if not frontier.any():
+                break
+            depth += 1
+            dist[frontier > 0] = depth
+            sigma += frontier
+        # Dependencies flow back one level per step, down to level 1; a
+        # source gets none from its own search.
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d)
+            delta += np.where(dist == d - 1, sigma * (coeff @ adj), 0.0)
+        bc += delta.sum(axis=0)
+        reach = (dist >= 0).sum(axis=1).tolist()
+        total = dist.clip(min=0).sum(axis=1).tolist()
+        for s, (r, t) in enumerate(zip(reach, total), lo + 1):
+            closeness[s] = (r - 1) / t if t > 0 else 0.0
+    # Summing over all sources counts each unordered pair twice.
+    return [0.0] + (bc / 2.0).tolist(), closeness
+
+
+def betweenness_centrality(g: Graph) -> CentralityTable:
+    """Unnormalized betweenness over unordered pairs; disconnected pairs
+    contribute nothing. Read from the shared shortest-path pass."""
+    return CentralityTable("betweenness", _shortest_paths(g)[0])
 
 
 def closeness_centrality(g: Graph) -> CentralityTable:
     """Component-local closeness: (r - 1) / sum of BFS distances, where r is
     the size of the node's connected component. Isolated nodes score 0, so
     disconnected graphs still get finite values."""
-    n = g.node_count
-    values = [0.0] * (n + 1)
-    for s in range(1, n + 1):
-        dist = [-1] * (n + 1)
-        dist[s] = 0
-        queue = deque([s])
-        reached = 0
-        total = 0
-        while queue:
-            v = queue.popleft()
-            reached += 1
-            total += dist[v]
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        values[s] = (reached - 1) / total if total > 0 else 0.0
-    return CentralityTable("closeness", values)
+    return CentralityTable("closeness", _shortest_paths(g)[1])
 
 
 def centrality_table(g: Graph, measure: str) -> CentralityTable:
@@ -129,6 +125,12 @@ def table_for(g: Graph, strategy: Strategy) -> CentralityTable | None:
     return centrality_table(g, strategy.kind)
 
 
+def _ranked(values: list[float], nodes) -> list[int]:
+    """The nodes by descending score rounded to 12 significant digits, ties
+    broken by ascending node ID: the ranking rule of every ordering."""
+    return sorted(nodes, key=lambda v: (-float(f"{values[v]:.12g}"), v))
+
+
 def ordered_neighbors(g: Graph, v: int, strategy: Strategy, table: CentralityTable | None = None) -> list[int]:
     """Permutation of adj(v) under the given strategy.
 
@@ -145,9 +147,7 @@ def ordered_neighbors(g: Graph, v: int, strategy: Strategy, table: CentralityTab
         raise ValueError(f"{strategy.kind} ordering requires a centrality table")
     if table.measure != strategy.kind:
         raise ValueError(f"table holds {table.measure!r} scores but strategy wants {strategy.kind!r}")
-    values = table.values
-    nbrs.sort(key=lambda w: (-values[w], w))
-    return nbrs
+    return _ranked(table.values, nbrs)
 
 
 def neighbor_orders(g: Graph, strategy: Strategy, table: CentralityTable | None = None) -> list[list[int]]:

@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .centrality import MEASURES, STRATEGY_KINDS, centrality_table
+from .centrality import MEASURES, STRATEGY_KINDS, _ranked, centrality_table
 from .evaluate import (
     CSV_HEADER,
     SweepCell,
@@ -128,8 +128,7 @@ def _cmd_stats(args) -> int:
 def _cmd_centrality(args) -> int:
     g = load_edge_list(args.graph)
     table = centrality_table(g, args.measure)
-    ranked = sorted(range(1, g.node_count + 1), key=lambda v: (-table.values[v], v))
-    for v in ranked[: args.top]:
+    for v in _ranked(table.values, range(1, g.node_count + 1))[: args.top]:
         print(f"{g.labels[v]} {table.values[v]:.6f}")
     return 0
 

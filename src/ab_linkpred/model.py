@@ -194,7 +194,11 @@ def _level_splits(
     split_col[split] = cols[split, bseg[chosen] % k]
     cut[split] = s_rank[at]
     below, above = (X[rows[entry[i]], split_col[split]].astype(np.float64) for i in (at, at + 1))
-    threshold[split] = (below + above) / 2.0
+    with np.errstate(over="ignore"):
+        mid = (below + above) / 2.0
+    # Halve first only where the sum overflows, so every other threshold
+    # keeps its bytes.
+    threshold[split] = np.where(np.isfinite(mid), mid, below / 2.0 + above / 2.0)
     return split_col, cut, threshold
 
 
@@ -509,6 +513,8 @@ def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
     if kind == "logistic":
         if payload["weights"].shape != (feature_length,):
             bad(f"logistic weights have shape {payload['weights'].shape}, want ({feature_length},)")
+        if not (np.isfinite(payload["weights"]).all() and math.isfinite(payload["bias"])):
+            bad("logistic weights and bias must be finite numbers")
         return
     if not payload["trees"]:
         bad("the model holds no trees")
@@ -557,8 +563,8 @@ def load_model(source) -> Classifier:
     bad JSON or version, missing fields, unknown hyperparameters or feature
     settings, node arrays of unequal length, a tree whose child pointers do
     not move forward, a split on a column outside the feature length, a
-    missing threshold, a leaf value outside [0, 1], or logistic weights of
-    the wrong length.
+    missing threshold, a leaf value outside [0, 1], logistic weights of the
+    wrong length, or a logistic weight or bias that is not a finite number.
     """
     if isinstance(source, (str, os.PathLike)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         with open(source, "rb") as f:

@@ -87,6 +87,26 @@ def gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     return [(u, v) for v, u in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
 
 
+def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    """rows x cols lattice; node r * cols + c + 1 sits at row r, column c."""
+    edges = []
+    for r, c in itertools.product(range(rows), range(cols)):
+        v = r * cols + c + 1
+        if c + 1 < cols:
+            edges.append((v, v + 1))
+        if r + 1 < rows:
+            edges.append((v, v + cols))
+    return edges
+
+
+def cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def complete_bipartite_edges(p: int, q: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(1, p + 1) for v in range(p + 1, p + q + 1)]
+
+
 def two_cliques_edges(k: int = 6) -> list[tuple[int, int]]:
     edges = [(u, v) for u, v in itertools.combinations(range(1, k + 1), 2)]
     edges += [(u, v) for u, v in itertools.combinations(range(k + 1, 2 * k + 1), 2)]

@@ -1,11 +1,12 @@
 """Brute-force reference implementations used to check the library.
 
-Deliberately independent of the library's BFS-accumulation code paths:
+Deliberately independent of the library's array shortest-path pass:
 distances come from Floyd-Warshall and betweenness from explicit
-enumeration of every shortest path. The feature reference rebuilds both
-neighbor blocks of every pair one by one, the plain form of the block
-table that build_dataset gathers from. The tree reference grows a CART
-tree one node and one full sort per split, the plain form of the
+enumeration of every shortest path, or from Brandes' accumulation over
+adjacency lists in exact rational arithmetic. The feature reference
+rebuilds both neighbor blocks of every pair one by one, the plain form of
+the block table that build_dataset gathers from. The tree reference grows
+a CART tree one node and one full sort per split, the plain form of the
 level-wise builder that train uses.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -72,6 +75,34 @@ def brute_betweenness(g):
             for v in path[1:-1]:
                 scores[v] += 1.0 / len(paths)
     return scores
+
+
+def exact_betweenness(g):
+    """Brandes' accumulation, one queue BFS per source, in fractions.Fraction,
+    so scores that are equal in exact arithmetic compare equal."""
+    n = g.node_count
+    scores = [Fraction(0)] * (n + 1)
+    for s in range(1, n + 1):
+        dist = {s: 0}
+        sigma = {s: 1}
+        preds = collections.defaultdict(list)
+        order = [s]
+        for v in order:  # order grows while it is walked: a FIFO queue
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    sigma[w] = 0
+                    order.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = dict.fromkeys(order, Fraction(0))
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if w != s:
+                scores[w] += delta[w]
+    return [x / 2 for x in scores]
 
 
 def brute_closeness(g):
@@ -175,7 +206,10 @@ def _best_split(Xn, ys, min_leaf):
     if purity.flat[flat] < 0:
         return None
     i, col = divmod(flat, Xn.shape[1])
-    threshold = (float(xs[i, col]) + float(xs[i + 1, col])) / 2.0
+    below, above = float(xs[i, col]), float(xs[i + 1, col])
+    threshold = (below + above) / 2.0
+    if not math.isfinite(threshold):  # the sum overflowed
+        threshold = below / 2.0 + above / 2.0
     return col, threshold
 
 

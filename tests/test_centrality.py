@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ab_linkpred import (
+    Graph,
     Strategy,
     betweenness_centrality,
     centrality_table,
@@ -11,10 +14,19 @@ from ab_linkpred import (
     neighbor_orders,
     ordered_neighbors,
 )
-from ab_linkpred.centrality import CentralityTable
+from ab_linkpred.centrality import MEASURES, CentralityTable
 
-from graphgen import complete_graph, gnp_edges, graph_from_edges, path_graph, star_graph
-from oracles import brute_betweenness, brute_closeness
+from graphgen import (
+    complete_bipartite_edges,
+    complete_graph,
+    cycle_edges,
+    gnp_edges,
+    graph_from_edges,
+    grid_edges,
+    path_graph,
+    star_graph,
+)
+from oracles import brute_betweenness, brute_closeness, exact_betweenness
 
 
 # --- fixtures ---
@@ -56,6 +68,55 @@ def test_betweenness_and_closeness_match_oracles_on_random_graphs():
         for v in range(1, g.node_count + 1):
             assert bc[v] == pytest.approx(bc_ref[v], abs=1e-9)
             assert cc[v] == pytest.approx(cc_ref[v], abs=1e-9)
+
+
+def test_measures_on_graphs_without_edges():
+    lonely = Graph()
+    for label in "abc":
+        lonely.intern(label)
+    for g in (Graph(), lonely):
+        for measure in MEASURES:
+            assert centrality_table(g, measure).values == [0.0] * (g.node_count + 1)
+
+
+def _seeded_gnp_edges(seed):
+    rng = random.Random(seed)
+    return gnp_edges(rng.randint(5, 30), rng.uniform(0.1, 0.6), seed)
+
+
+# Graphs with groups of exactly tied betweenness scores. Comparing raw floats
+# ranks some neighbors against the rule on the grids, the ladder and these
+# gnp seeds (every such seed of 0..99); the cycle and K5,7 tie by symmetry.
+TIED_GRAPHS = {
+    "grid_8x8": grid_edges(8, 8),
+    "grid_6x9": grid_edges(6, 9),
+    "ladder_2x15": grid_edges(2, 15),
+    "cycle_40": cycle_edges(40),
+    "k_5_7": complete_bipartite_edges(5, 7),
+    "gnp_seed_19": _seeded_gnp_edges(19),
+    "gnp_seed_21": _seeded_gnp_edges(21),
+    "gnp_seed_30": _seeded_gnp_edges(30),
+    "gnp_seed_73": _seeded_gnp_edges(73),
+}
+
+
+def _assert_matches_exact_oracles(g):
+    exact = exact_betweenness(g)
+    orders = neighbor_orders(g, Strategy("betweenness"))
+    for v in range(1, g.node_count + 1):
+        assert orders[v] == sorted(g.neighbors(v), key=lambda w: (-exact[w], w)), f"node {v}"
+    assert closeness_centrality(g).values == brute_closeness(g)
+
+
+@pytest.mark.parametrize("name", sorted(TIED_GRAPHS))
+def test_betweenness_orders_match_exact_ranking(name):
+    _assert_matches_exact_oracles(graph_from_edges(TIED_GRAPHS[name]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(5, 30), st.floats(0.1, 0.6), st.integers(0, 10_000))
+def test_betweenness_orders_match_exact_ranking_on_random_graphs(n, p, seed):
+    _assert_matches_exact_oracles(graph_from_edges(gnp_edges(n, p, seed) or [(1, 2)]))
 
 
 # --- ordering ---

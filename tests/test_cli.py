@@ -115,6 +115,16 @@ def test_centrality_output_sorted_descending(clique_file, capsys):
     assert lines[0].split()[0] == "1"  # tie on degree resolves to first label
 
 
+@pytest.mark.parametrize("measure", ["degree", "betweenness", "closeness"])
+def test_centrality_of_comment_only_file_prints_nothing(tmp_path, capsys, measure):
+    path = tmp_path / "comments.txt"
+    path.write_text("# no edges\n#\n")
+    assert main(["centrality", str(path), "--measure", measure]) == 0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ""
+
+
 def test_sweep_writes_expected_rows_and_manifest(clique_file, tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = main(

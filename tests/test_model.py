@@ -359,6 +359,11 @@ def small_forest_doc(clique_split):
     return save_model(clf)
 
 
+@pytest.fixture(scope="module")
+def small_logistic_doc(clique_split):
+    return save_model(train(clique_split.Xtrain, clique_split.ytrain, kind="logistic", seed=4))
+
+
 @pytest.mark.parametrize("corruption", sorted(TREE_CORRUPTIONS))
 def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     doc = json.loads(small_forest_doc)
@@ -381,12 +386,28 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     ("kind", ["forest"]),
     ("featurize_config", {"a": 2.0, "b": 1.0, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 1}),
     ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "random", "strategy_seed": 1.5, "mask_pair_edge": False, "seed": 1}),
+    ("payload", {"weights": [float("nan")] + [0.0] * 25, "bias": 0.0}),
+    ("payload", {"weights": [0.0] * 25 + [float("inf")], "bias": 0.0}),
+    ("payload", {"weights": [0.0] * 25 + [float("-inf")], "bias": 0.0}),
+    ("payload", {"weights": [0.0] * 26, "bias": float("nan")}),
+    ("payload", {"weights": [0.0] * 26, "bias": float("inf")}),
 ])
-def test_load_rejects_bad_fields(small_forest_doc, field, value):
-    doc = json.loads(small_forest_doc)
+def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, value):
+    # A logistic payload goes into a logistic document, whose other fields are valid.
+    base = small_logistic_doc if field == "payload" and "weights" in value else small_forest_doc
+    doc = json.loads(base)
     doc[field] = value
     with pytest.raises(ModelFormatError):
         load_model(json.dumps(doc))
+
+
+def test_tree_on_values_near_the_float_limit_round_trips():
+    X, y = [[1e308], [1.5e308]] * 2, [0, 1, 0, 1]
+    clf = train(X, y, kind="tree")
+    assert np.isfinite(clf.payload["trees"][0]["threshold"]).all()
+    loaded = load_model(save_model(clf))
+    assert save_model(loaded) == save_model(clf)
+    assert predict_scores(loaded, X).tolist() == y
 
 
 def test_load_rejects_logistic_weights_of_wrong_length():
