@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,65 +48,92 @@ class CentralityTable:
     measure: str
     values: list[float]
 
+    @cached_property
+    def _rank_keys(self) -> list[float]:
+        """Scores rounded once to 12 significant digits, the keys every
+        ranking sorts on, so scores equal in exact arithmetic tie."""
+        return [float(f"{x:.12g}") for x in self.values]
+
 
 def degree_centrality(g: Graph) -> CentralityTable:
     values = [0] + [g.degree(v) for v in range(1, g.node_count + 1)]
     return CentralityTable("degree", values)
 
 
-def _shortest_paths(g: Graph) -> tuple[list[float], list[float]]:
-    """Betweenness and closeness of every node from one shortest-path pass.
+def _searches(g: Graph):
+    """The shortest-path pass that betweenness and closeness both read.
 
-    BFS runs from _BLOCK sources at a time, level by level: a level's path
-    counts are the previous level's counts times the adjacency matrix.
-    Dependencies then flow back level by level, as in Brandes' accumulation,
-    in the algebraic form of Kepner & Gilbert (SIAM 2011). Memory is one
-    n x n float adjacency plus O(_BLOCK x n) arrays per block. Closeness is
-    computed from integer counts, so its floats are exact quotients.
+    BFS runs from _BLOCK sources at a time, level by level, and visits only
+    the edges at each level's nodes: a block takes O(_BLOCK x (n + m))
+    memory and, up to the sort that merges each level, as much time, plus a
+    fixed numpy cost per level, whatever the graph's diameter. Row r of a
+    block searches from node lo + r + 1; (r, node) has the flat key
+    r * n + node. Yields per block lo, each level's sorted keys, the
+    (predecessor, successor) indexes of the edges between consecutive
+    levels, and the flat path counts sigma and distances dist (-1 where
+    unreached).
     """
     n = g.node_count
-    adj = g.adjacency()[1:, 1:].astype(np.float64)
-    bc = np.zeros(n)
-    closeness = [0.0] * (n + 1)
+    adj = [g.neighbors(v) for v in range(1, n + 1)]
+    indptr = np.cumsum([0] + [len(a) for a in adj])  # CSR over 0-based nodes
+    indices = np.array([u - 1 for a in adj for u in a], dtype=np.int64)
     for lo in range(0, n, _BLOCK):
-        # Row i searches from node lo + i + 1: one path to itself, at distance 0.
-        sigma = np.eye(min(_BLOCK, n - lo), n, lo)
-        dist = sigma.astype(np.int64) - 1
-        frontier = sigma
-        depth = 0
+        keys = np.arange(min(_BLOCK, n - lo)) * (n + 1) + lo
+        dist = np.full(len(keys) * n, -1, dtype=np.int64)
+        sigma = np.zeros(len(keys) * n)
+        dist[keys], sigma[keys] = 0, 1.0
+        levels, edges = [keys], []
         while True:
-            frontier = np.where(dist < 0, frontier @ adj, 0.0)
-            if not frontier.any():
+            # One entry per edge at this level's nodes: the index i of its
+            # key, and the neighbor's key in the same row.
+            rows, nodes = np.divmod(keys, n)
+            deg = indptr[nodes + 1] - indptr[nodes]
+            i = np.repeat(np.arange(len(keys)), deg)
+            pos = np.arange(len(i)) + np.repeat(indptr[nodes] - (np.cumsum(deg) - deg), deg)
+            nbr = rows[i] * n + indices[pos]
+            fresh = dist[nbr] < 0
+            keys, slot = np.unique(nbr[fresh], return_inverse=True)
+            if not len(keys):
                 break
-            depth += 1
-            dist[frontier > 0] = depth
-            sigma += frontier
-        # Dependencies flow back one level per step, down to level 1; a
-        # source gets none from its own search.
-        delta = np.zeros_like(sigma)
-        for d in range(depth, 1, -1):
-            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d)
-            delta += np.where(dist == d - 1, sigma * (coeff @ adj), 0.0)
-        bc += delta.sum(axis=0)
-        reach = (dist >= 0).sum(axis=1).tolist()
-        total = dist.clip(min=0).sum(axis=1).tolist()
-        for s, (r, t) in enumerate(zip(reach, total), lo + 1):
-            closeness[s] = (r - 1) / t if t > 0 else 0.0
-    # Summing over all sources counts each unordered pair twice.
-    return [0.0] + (bc / 2.0).tolist(), closeness
+            # A level's path counts sum its predecessors' counts.
+            edges.append((i[fresh], slot))
+            sigma[keys] = np.bincount(slot, weights=sigma[levels[-1]][i[fresh]], minlength=len(keys))
+            dist[keys] = len(levels)
+            levels.append(keys)
+        yield lo, levels, edges, sigma, dist
 
 
 def betweenness_centrality(g: Graph) -> CentralityTable:
     """Unnormalized betweenness over unordered pairs; disconnected pairs
-    contribute nothing. Read from the shared shortest-path pass."""
-    return CentralityTable("betweenness", _shortest_paths(g)[0])
+    contribute nothing. Dependencies flow back through the shared pass's
+    levels as in Brandes' accumulation, in the level-synchronous form of
+    Kepner & Gilbert (SIAM 2011)."""
+    bc = np.zeros(g.node_count)
+    for _, levels, edges, sigma, _ in _searches(g):
+        delta = np.zeros_like(sigma)
+        # Down to level 1: a source gets no dependency from its own search.
+        for d in range(len(levels) - 1, 1, -1):
+            (pred, succ), keys, prev = edges[d - 1], levels[d], levels[d - 1]
+            coeff = (1.0 + delta[keys]) / sigma[keys]
+            delta[prev] = sigma[prev] * np.bincount(pred, weights=coeff[succ], minlength=len(prev))
+        bc += delta.reshape(-1, g.node_count).sum(axis=0)
+    # Summing over all sources counts each unordered pair twice.
+    return CentralityTable("betweenness", [0.0] + (bc / 2.0).tolist())
 
 
 def closeness_centrality(g: Graph) -> CentralityTable:
     """Component-local closeness: (r - 1) / sum of BFS distances, where r is
     the size of the node's connected component. Isolated nodes score 0, so
-    disconnected graphs still get finite values."""
-    return CentralityTable("closeness", _shortest_paths(g)[1])
+    disconnected graphs still get finite values. Computed from the shared
+    pass's integer distances, so the floats are exact quotients."""
+    values = [0.0] * (g.node_count + 1)
+    for lo, _, _, _, dist in _searches(g):
+        dist = dist.reshape(-1, g.node_count)
+        reach = (dist >= 0).sum(axis=1).tolist()
+        total = dist.clip(min=0).sum(axis=1).tolist()
+        for s, (r, t) in enumerate(zip(reach, total), lo + 1):
+            values[s] = (r - 1) / t if t > 0 else 0.0
+    return CentralityTable("closeness", values)
 
 
 def centrality_table(g: Graph, measure: str) -> CentralityTable:
@@ -125,10 +153,11 @@ def table_for(g: Graph, strategy: Strategy) -> CentralityTable | None:
     return centrality_table(g, strategy.kind)
 
 
-def _ranked(values: list[float], nodes) -> list[int]:
-    """The nodes by descending score rounded to 12 significant digits, ties
-    broken by ascending node ID: the ranking rule of every ordering."""
-    return sorted(nodes, key=lambda v: (-float(f"{values[v]:.12g}"), v))
+def _ranked(table: CentralityTable, nodes) -> list[int]:
+    """The nodes by descending rounded score, ties broken by ascending node
+    ID: the ranking rule of every ordering."""
+    keys = table._rank_keys
+    return sorted(nodes, key=lambda v: (-keys[v], v))
 
 
 def ordered_neighbors(g: Graph, v: int, strategy: Strategy, table: CentralityTable | None = None) -> list[int]:
@@ -147,7 +176,7 @@ def ordered_neighbors(g: Graph, v: int, strategy: Strategy, table: CentralityTab
         raise ValueError(f"{strategy.kind} ordering requires a centrality table")
     if table.measure != strategy.kind:
         raise ValueError(f"table holds {table.measure!r} scores but strategy wants {strategy.kind!r}")
-    return _ranked(table.values, nbrs)
+    return _ranked(table, nbrs)
 
 
 def neighbor_orders(g: Graph, strategy: Strategy, table: CentralityTable | None = None) -> list[list[int]]:

@@ -128,7 +128,7 @@ def _cmd_stats(args) -> int:
 def _cmd_centrality(args) -> int:
     g = load_edge_list(args.graph)
     table = centrality_table(g, args.measure)
-    for v in _ranked(table.values, range(1, g.node_count + 1))[: args.top]:
+    for v in _ranked(table, range(1, g.node_count + 1))[: args.top]:
         print(f"{g.labels[v]} {table.values[v]:.6f}")
     return 0
 

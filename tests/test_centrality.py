@@ -79,6 +79,17 @@ def test_measures_on_graphs_without_edges():
             assert centrality_table(g, measure).values == [0.0] * (g.node_count + 1)
 
 
+def test_measures_on_a_long_path_across_source_blocks():
+    # BFS depth up to n - 1 and several blocks of sources; closed forms, exactly.
+    n = 300
+    g = path_graph(n)
+    bc = betweenness_centrality(g).values
+    cc = closeness_centrality(g).values
+    for k in range(1, n + 1):
+        assert bc[k] == (k - 1) * (n - k)
+        assert cc[k] == (n - 1) / ((k - 1) * k // 2 + (n - k) * (n - k + 1) // 2)
+
+
 def _seeded_gnp_edges(seed):
     rng = random.Random(seed)
     return gnp_edges(rng.randint(5, 30), rng.uniform(0.1, 0.6), seed)
