@@ -6,7 +6,8 @@ flags are checked before any file is read. Diagnostics go to stderr;
 machine-readable output (CSV, SVG, JSON, completion edges) goes to files,
 or to stdout only where a subcommand defines it. Every output file gets a
 ``<file>.manifest.json`` sidecar recording the resolved parameters, seeds,
-input digest, tool version, and wall time.
+input digest, tool version, and wall time; a completion manifest also lists
+each step's scored non-edges and added edges.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def _pipeline_params(args) -> dict:
     }
 
 
-def _write_manifest(out_path: str, subcommand: str, params: dict, seeds: list[int], input_path: str, wall_s: float) -> None:
+def _write_manifest(
+    out_path: str, subcommand: str, params: dict, seeds: list[int], input_path: str, wall_s: float, extra: dict | None = None
+) -> None:
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -106,6 +109,7 @@ def _write_manifest(out_path: str, subcommand: str, params: dict, seeds: list[in
         "seeds": seeds,
         "input_digest": _sha256(input_path),
         "wall_time_s": round(wall_s, 3),
+        **(extra or {}),
     }
     with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -225,6 +229,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _completion_steps(g, trace, cfg: CompletionConfig) -> list[dict]:
+    """Per scoring pass of complete(): the non-edges it scored and the edges
+    it added. An iterative run ends with a pass that adds nothing, which the
+    trace does not record, unless max_steps stops it first."""
+    added = [len(batch) for batch in trace.batches]
+    if cfg.mode == "iterative" and (cfg.max_steps is None or len(added) < cfg.max_steps):
+        added.append(0)
+    non_edges = g.node_count * (g.node_count - 1) // 2 - g.edge_count
+    steps = []
+    for count in added:
+        steps.append({"non_edges": non_edges, "added": count})
+        non_edges -= count
+    return steps
+
+
 def _cmd_complete(args) -> int:
     try:
         cfg = CompletionConfig(epsilon=args.epsilon, mode=args.mode, max_steps=args.max_steps)
@@ -247,7 +266,8 @@ def _cmd_complete(args) -> int:
         "out": str(args.out),
         "featurize_config": clf.featurize_config,
     }
-    _write_manifest(args.out, "complete", params, [clf.featurize_config["seed"]], args.graph, wall)
+    _write_manifest(args.out, "complete", params, [clf.featurize_config["seed"]], args.graph, wall,
+                    {"steps": _completion_steps(g, trace, cfg)})
     added = len(trace.added_edges)
     print(
         f"added {added} edge(s) over {len(trace.batches)} step(s); "

@@ -67,6 +67,8 @@ def _as_matrix(X) -> np.ndarray:
         raise ValueError(f"feature rows must all have the same length: {err}") from None
     if arr.dtype == object or arr.ndim != 2:
         raise ValueError("feature rows must form a 2-D matrix of equal-length rows")
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise ValueError("feature values must be finite numbers")
     return arr
 
 
@@ -338,18 +340,19 @@ def _depth_first_arrays(levels: list) -> dict:
     return _tree_arrays(out)
 
 
-def _tree_leaf_values(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Positive fraction at the leaf reached by each row."""
+def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Positive fraction at the leaf reached by each row of X, or by each
+    row X[rows] when row indices are given (read in place, not copied)."""
     feature = tree["feature"]
     threshold = tree["threshold"]
     left = tree["left"]
     right = tree["right"]
-    node = np.zeros(len(X), dtype=np.int32)
+    node = np.zeros(len(X) if rows is None else len(rows), dtype=np.int32)
     active = np.flatnonzero(feature[node] >= 0)
     while len(active):
         cur = node[active]
         cols = feature[cur]
-        go_left = X[active, cols] <= threshold[cur]
+        go_left = X[active if rows is None else rows[active], cols] <= threshold[cur]
         node[active] = np.where(go_left, left[cur], right[cur])
         active = active[feature[node[active]] >= 0]
     return tree["value"][node]
@@ -425,8 +428,6 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])
-    if matrix.dtype.kind not in "biuf" or not np.isfinite(matrix).all():
-        raise ValueError("feature values must be finite numbers")
     if matrix.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
     if labels.min() == labels.max():
@@ -450,21 +451,38 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     )
 
 
-def predict_scores(c: Classifier, X) -> np.ndarray:
-    """Scores in [0, 1] for a batch of rows; pure, so batch order is irrelevant."""
+def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
+    """Scores in [0, 1] for a batch of rows; pure, so batch order is irrelevant.
+
+    Feature values must be finite numbers, else ValueError. Only the rows
+    scoring at least floor (in [0, 1]) need their exact score: a forest
+    stops walking a row once votes / tree count can no longer reach floor,
+    and reports that row's votes so far, which score below floor. Every
+    other row, and every row of the tree and logistic kinds, gets its full
+    score, so `scores >= floor` is the same mask whatever the floor.
+    """
     matrix = _as_matrix(X)
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
-    if c.kind in ("forest", "tree"):
-        trees = c.payload["trees"]
-        if c.kind == "tree":
-            return _tree_leaf_values(trees[0], matrix)
-        votes = np.zeros(matrix.shape[0], dtype=np.int64)
-        for tree in trees:
+    if not 0.0 <= floor <= 1.0:
+        raise ValueError(f"floor must be in [0, 1], got {floor}")
+    if c.kind == "logistic":
+        return _sigmoid(matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"])
+    trees = c.payload["trees"]
+    if c.kind == "tree":
+        return _tree_leaf_values(trees[0], matrix)
+    total = len(trees)
+    votes = np.zeros(matrix.shape[0], dtype=np.int64)
+    rows = np.arange(matrix.shape[0])  # the rows that can still reach floor
+    for t, tree in enumerate(trees, 1):
+        if not floor:
             votes += _tree_leaf_values(tree, matrix) >= 0.5
-        return votes / len(trees)
-    z = matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"]
-    return _sigmoid(z)
+            continue
+        votes[rows] += _tree_leaf_values(tree, matrix, rows) >= 0.5
+        # The final score divides the same way and only grows with votes,
+        # so a row dropped here cannot reach floor with the trees left.
+        rows = rows[(votes[rows] + (total - t)) / total >= floor]
+    return votes / total
 
 
 def predict_score(c: Classifier, x) -> float:

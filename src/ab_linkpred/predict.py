@@ -5,6 +5,11 @@ the qualifying ones in a single batch. Iterative mode repeats against each
 intermediate state, so features (including centrality orderings) reflect
 previously added edges, until a step adds nothing or the step limit is hit.
 The model is never retrained during completion.
+
+A step scores its non-edges with predict_scores(..., floor=epsilon): a
+forest stops voting on a pair as soon as its score can no longer reach
+epsilon, so a step walks far fewer trees than full scoring, while every
+added edge and its recorded score are exactly those of full scoring.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> l
     u, v, edge = u[~edge], v[~edge], edge[~edge]
     if not len(u):
         return []
-    scores = predict_scores(model, _feature_rows(g, feat, u, v, edge, None))
+    scores = predict_scores(model, _feature_rows(g, feat, u, v, edge, None), floor=epsilon)
     keep = scores >= epsilon
     return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist()))
 

@@ -7,7 +7,9 @@ adjacency lists in exact rational arithmetic. The feature reference
 rebuilds both neighbor blocks of every pair one by one, the plain form of
 the block table that build_dataset gathers from. The tree reference grows
 a CART tree one node and one full sort per split, the plain form of the
-level-wise builder that train uses.
+level-wise builder that train uses. The forest vote reference walks every
+row through every tree one node at a time, the plain form of the batched
+walk with early exit that predict_scores runs.
 """
 
 from __future__ import annotations
@@ -274,3 +276,18 @@ def reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap):
         stack.append((left[i], low))
 
     return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
+
+
+def reference_forest_votes(c, X):
+    """Per tree and row, 1 where the row's leaf votes positive (value >= 0.5):
+    each row walked alone, node by node, through every tree of the forest."""
+    trees = [{key: tree[key].tolist() for key in tree} for tree in c.payload["trees"]]
+    votes = np.zeros((len(trees), len(X)), dtype=np.int64)
+    for t, tree in enumerate(trees):
+        for i, row in enumerate(np.asarray(X).tolist()):
+            node = 0
+            while tree["feature"][node] >= 0:
+                go_left = row[tree["feature"][node]] <= tree["threshold"][node]
+                node = tree["left"][node] if go_left else tree["right"][node]
+            votes[t, i] = tree["value"][node] >= 0.5
+    return votes

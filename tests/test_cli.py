@@ -263,6 +263,31 @@ def test_train_eval_complete_round_trip(clique_file, tmp_path, capsys):
     assert len(score.split(".")[1]) == 6
 
 
+@pytest.mark.parametrize("epsilon,mode,cap,steps", [
+    ("0.0", "noniterative", None, [(36, 36)]),
+    ("1.0", "noniterative", None, [(36, 0)]),
+    ("0.0", "iterative", None, [(36, 36), (0, 0)]),  # the last pass finds no non-edge left
+    ("0.0", "iterative", "1", [(36, 36)]),  # the cap ends the run before a pass that adds nothing
+    ("1.0", "iterative", "3", [(36, 0)]),
+    ("0.05", "iterative", None, [(36, 4), (32, 32), (0, 0)]),
+])
+def test_complete_manifest_lists_step_counts(clique_file, tmp_path, capsys, epsilon, mode, cap, steps):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--out", str(model)]) == 0
+    added = tmp_path / "added.txt"
+    capsys.readouterr()
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", epsilon, "--mode", mode,
+                 *(["--max-steps", cap] if cap else []), "--out", str(added)]) == 0
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "added.txt.manifest.json").read_text())
+    assert [(step["non_edges"], step["added"]) for step in manifest["steps"]] == steps
+    # The output file and the stderr line record only the steps that add edges (all of them when noniterative).
+    recorded = [n for _, n in steps if n or mode == "noniterative"]
+    per_step = [line.split()[0] for line in added.read_text().splitlines()]
+    assert [per_step.count(str(k)) for k in range(1, len(recorded) + 1)] == recorded
+    assert err == f"added {sum(recorded)} edge(s) over {len(recorded)} step(s); graph now has {30 + sum(recorded)} edges\n"
+
+
 def test_eval_reports_unbalanced_by_default(clique_file, capsys):
     assert main(["eval", str(clique_file), "--a", "1", "--b", "0", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ab_linkpred import (
@@ -21,11 +21,12 @@ from ab_linkpred import (
     train,
 )
 
+from ab_linkpred import model as model_module
 from ab_linkpred._seeds import derive_seed
 from ab_linkpred.model import _train_forest
 
 from graphgen import community_edges, graph_from_edges, two_cliques_edges
-from oracles import reference_tree
+from oracles import reference_forest_votes, reference_tree
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,110 @@ def test_train_rejects_non_finite_feature_values(kind, bad):
     X = np.array([[2.0, 1.0], [bad, 1.0], [3.0, 0.0], [5.0, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         train(X, [0, 1, 0, 1], kind=kind, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "x"])
+def test_predict_rejects_non_finite_or_non_numeric_feature_values(kind, bad):
+    clf = train([[2, 1], [1, 1], [3, 0], [5, 0]], [0, 1, 0, 1], kind=kind, seed=1)
+    rows = [[2, 1], [bad, 1]]
+    for floor in (0.0, 0.5):
+        with pytest.raises(ValueError, match="feature values must be finite numbers"):
+            predict_scores(clf, rows, floor=floor)
+    with pytest.raises(ValueError, match="feature values must be finite numbers"):
+        predict_score(clf, [bad, 1])
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+@pytest.mark.parametrize("floor", [-0.1, 1.5, float("nan"), float("inf")])
+def test_predict_rejects_floor_outside_unit_interval(kind, floor):
+    clf = train([[2, 1], [1, 1], [3, 0], [5, 0]], [0, 1, 0, 1], kind=kind, seed=1)
+    with pytest.raises(ValueError, match="floor"):
+        predict_scores(clf, [[2, 1]], floor=floor)
+
+
+@pytest.fixture(scope="module")
+def voting_forests():
+    """Forests of 1, 2, 3, 7 and 100 trees, probe rows with varied scores,
+    and each forest's per-tree votes on them from the plain reference."""
+    X, y = _golden_fixture_rows()
+    probe = np.vstack([X, np.random.default_rng(4).integers(0, 41, size=(300, X.shape[1]))])
+    forests = {}
+    for T in (1, 2, 3, 7, 100):
+        clf = train(X, y, params={"tree_count": T}, seed=5)
+        forests[T] = clf, reference_forest_votes(clf, probe)
+    return probe, forests
+
+
+def _assert_floor_is_exact(clf, votes, X, floor):
+    """predict_scores at floor keeps the rows full scoring keeps, with the
+    same score bytes, and every other row scores below floor."""
+    full = votes.sum(axis=0) / len(votes)
+    got = predict_scores(clf, X, floor=floor)
+    kept = full >= floor
+    assert np.array_equal(got >= floor, kept)
+    assert got[kept].tobytes() == full[kept].tobytes()
+    assert (got[~kept] < floor).all()
+
+
+FLOORS = {"0": lambda T: 0.0, "1/T": lambda T: 1 / T, "2/3": lambda T: 2 / 3,
+          "0.5": lambda T: 0.5, "0.9": lambda T: 0.9, "1.0": lambda T: 1.0}
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 100])
+@pytest.mark.parametrize("floor", sorted(FLOORS))
+def test_floor_keeps_exactly_the_rows_full_scoring_keeps(voting_forests, T, floor):
+    probe, forests = voting_forests
+    clf, votes = forests[T]
+    assert predict_scores(clf, probe).tobytes() == (votes.sum(axis=0) / T).tobytes()
+    _assert_floor_is_exact(clf, votes, probe, FLOORS[floor](T))
+
+
+def test_floor_cases_hold_rows_at_and_around_the_floor(voting_forests):
+    """The 100-tree forest at 0.9 has rows below, exactly at and above it,
+    so the exactness cases above test both sides of the boundary."""
+    probe, forests = voting_forests
+    clf, votes = forests[100]
+    count = votes.sum(axis=0)
+    assert (count < 90).any() and (count == 90).any() and (count > 90).any()
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.01, 0.5, 0.9, 1.0])
+def test_forest_stops_walking_a_row_as_soon_as_it_cannot_reach_the_floor(voting_forests, monkeypatch, floor):
+    probe, forests = voting_forests
+    clf, votes = forests[100]
+    walked = []
+    walk = model_module._tree_leaf_values
+
+    def counted(tree, X, rows=None):
+        walked.append(len(X) if rows is None else len(rows))
+        return walk(tree, X, rows)
+
+    monkeypatch.setattr(model_module, "_tree_leaf_values", counted)
+    predict_scores(clf, probe, floor=floor)
+    # After tree t a row stays while its votes so far plus the trees left can reach floor.
+    so_far = np.cumsum(votes, axis=0)
+    want = [len(probe)] + [int(((so_far[t - 1] + (100 - t)) / 100 >= floor).sum()) for t in range(1, 100)]
+    assert walked == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 4),
+    trees=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_floor_is_exact_on_random_forests(data, rows, cols, trees, seed):
+    X = np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    assume(0 < y.sum() < rows)
+    clf = train(X, y, params={"tree_count": trees}, seed=seed)
+    probe = np.vstack([X, np.random.default_rng(seed).integers(-4, 5, size=(30, cols))])
+    floor = data.draw(st.one_of(st.integers(0, trees).map(lambda k: k / trees), st.floats(0.0, 1.0)))
+    _assert_floor_is_exact(clf, reference_forest_votes(clf, probe), probe, floor)
 
 
 # sha256 of save_model() for models trained on a fixed fixture with fixed

@@ -159,6 +159,20 @@ def test_supergraph_law_and_termination_on_random_graph():
         assert all(s >= 0.55 for _, _, s in batch)
 
 
+@pytest.mark.parametrize("k", [1, 12, 20, 23])
+def test_non_edges_scoring_exactly_epsilon_are_added(k):
+    """At epsilon = k / T a non-edge with exactly k of T votes clears the
+    threshold; the forest's early exit must keep walking it to the end."""
+    g = graph_from_edges(gnm_edges(30, 60, seed=12))
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("random", seed=12), seed=12)
+    model = trained_on(g, cfg, seed=12)
+    eps = k / len(model.payload["trees"])
+    scores = non_edge_scores(g, model, cfg)
+    assert eps in scores.values() and min(scores.values()) < eps
+    trace = complete_noniterative(g, model, CompletionConfig(eps, "noniterative"), cfg)
+    assert {(u, v): s for u, v, s in trace.batches[0]} == {pair: s for pair, s in scores.items() if s >= eps}
+
+
 def test_model_featurize_config_used_when_feat_omitted(clique_setup):
     g, cfg, model = clique_setup
     from ab_linkpred.featurize import config_to_dict
