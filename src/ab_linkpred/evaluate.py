@@ -196,7 +196,8 @@ def sweep(
 ) -> SweepResult:
     """Run every cell of the grid a in 1..a_max, b in 0..b_max.
 
-    Cell failures are recorded in place and the sweep continues. Records
+    A cell that fails records "ExceptionType: message" as its error, in
+    place, and the sweep continues. Records
     are ordered canonically by (a, b, strategy, seed) whatever the worker
     schedule; centrality tables are computed once per measure and shared.
     """
@@ -228,7 +229,7 @@ def sweep(
             error = None
         except Exception as err:  # cell isolation: any stage failure is recorded
             report = None
-            error = str(err)
+            error = f"{type(err).__name__}: {err}"
         wall_ms = (time.perf_counter() - start) * 1000.0
         return SweepCell(a, b, kind, seed, report, wall_ms, error)
 

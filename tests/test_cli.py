@@ -153,6 +153,16 @@ def test_sweep_determinism_and_thread_equivalence(clique_file, tmp_path):
     assert strip_wall_ms(outs[2].read_text()) == first
 
 
+def test_sweep_names_the_error_type_of_a_failed_cell(gnm_file, tmp_path, capsys, dying_forest_workers):
+    out = tmp_path / "r.csv"
+    assert main(["sweep", str(gnm_file), "--a-max", "1", "--b-max", "0", "--strategy", "degree",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("cell a=1 b=0 degree seed=1 failed: ChildProcessError: a forest worker process died")
+    assert "(1 failed)" in err[1]
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_sweep_threads_env_fallback(clique_file, tmp_path, monkeypatch):
     out = tmp_path / "env.csv"
     monkeypatch.setenv("AB_LINKPRED_THREADS", "2")
@@ -233,6 +243,15 @@ def test_threads_env_error_names_the_variable(clique_file, tmp_path, monkeypatch
     assert main(base) == 1
     assert "AB_LINKPRED_THREADS" in capsys.readouterr().err
     assert main(base + ["--threads", "1"]) == 0  # an explicit flag wins over the variable
+
+
+def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dying_forest_workers):
+    model = tmp_path / "m.json"
+    assert main(["train", str(gnm_file), "--a", "2", "--b", "1", "--out", str(model)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a forest worker process died")
+    assert not model.exists()
+    assert not os.path.exists(str(model) + ".manifest.json")
 
 
 def test_train_eval_complete_round_trip(clique_file, tmp_path, capsys):

@@ -138,13 +138,20 @@ def test_sweep_records_cell_failures_and_continues():
     g2 = graph_from_edges([(1, 2)])
     result = sweep(g2, 1, 0, ["degree"], [1])
     assert len(result.cells) == 1
-    assert result.cells[0].error is not None
+    assert result.cells[0].error.startswith("ValueError: ")
     assert result.cells[0].report is None
     buf = io.StringIO()
     export_csv(result, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 2  # failed cells keep their CSV slot, fields empty
     assert lines[1].split(",")[4:11] == [""] * 7
+
+
+def test_sweep_records_a_dead_forest_worker(dying_forest_workers):
+    g = graph_from_edges(gnm_edges(61, 270, seed=4))
+    result = sweep(g, 1, 0, ["degree"], [1])
+    assert result.cells[0].report is None
+    assert result.cells[0].error.startswith("ChildProcessError: a forest worker process died")
 
 
 def test_export_csv_layout_and_re_derivation(small_sweep, tmp_path):

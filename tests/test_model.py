@@ -1,6 +1,15 @@
+import errno
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -384,6 +393,41 @@ def test_training_input_validation():
         train([[1], [2]], [0, 1], params={"min_leaf": 0})
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("forest", {"tree_count": 2.5}),
+    ("forest", {"tree_count": True}),
+    ("forest", {"tree_count": "3"}),
+    ("forest", {"tree_count": np.int64(3)}),
+    ("forest", {"min_leaf": 1.5}),
+    ("forest", {"min_leaf": False}),
+    ("forest", {"max_depth": 2.5}),
+    ("forest", {"feature_subsample": 1.0}),
+    ("forest", {"bootstrap": "no"}),
+    ("forest", {"bootstrap": 0}),
+    ("tree", {"min_leaf": 1.5}),
+    ("tree", {"max_depth": True}),
+    ("logistic", {"epochs": 2.5}),
+    ("logistic", {"epochs": True}),
+])
+def test_train_rejects_hyperparameters_it_would_truncate(kind, params):
+    with pytest.raises(ValueError):
+        train([[1], [2]] * 3, [0, 1] * 3, kind=kind, params=params)
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+@pytest.mark.parametrize("labels", [[0.6, 1, 0, 1] * 3, [0, 1, 0, 1.5] * 3, ["0", "1", "0", "1"] * 3, [0, 1, 0, -0.4] * 3])
+def test_train_rejects_labels_other_than_0_or_1(kind, labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        train([[1], [2], [3], [4]] * 3, labels, kind=kind)
+
+
+def test_train_accepts_labels_of_any_numeric_type_that_are_0_or_1():
+    X = [[1], [2], [3], [4]] * 3
+    want = save_model(train(X, [0, 1, 0, 1] * 3, kind="tree"))
+    for labels in ([0.0, 1.0, 0.0, 1.0] * 3, [False, True, False, True] * 3, np.array([0, 1, 0, 1] * 3, dtype=np.uint8)):
+        assert save_model(train(X, labels, kind="tree")) == want
+
+
 def test_predict_length_validation(clique_split):
     clf = train(clique_split.Xtrain, clique_split.ytrain, seed=1)
     with pytest.raises(ValueError):
@@ -496,6 +540,14 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     ("payload", {"weights": [0.0] * 25 + [float("-inf")], "bias": 0.0}),
     ("payload", {"weights": [0.0] * 26, "bias": float("nan")}),
     ("payload", {"weights": [0.0] * 26, "bias": float("inf")}),
+    ("hyperparameters", {"tree_count": 2.5}),
+    ("hyperparameters", {"tree_count": True}),
+    ("hyperparameters", {"tree_count": "3"}),
+    ("hyperparameters", {"min_leaf": 1.5}),
+    ("hyperparameters", {"max_depth": 2.5}),
+    ("hyperparameters", {"feature_subsample": 2.0}),
+    ("hyperparameters", {"bootstrap": "no"}),
+    ("hyperparameters", {"bootstrap": 1}),
 ])
 def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, value):
     # A logistic payload goes into a logistic document, whose other fields are valid.
@@ -537,3 +589,142 @@ def test_mutated_tree_documents_load_and_predict_or_raise(small_forest_doc, data
     probe = np.random.default_rng(5).integers(0, 13, size=(200, clf.feature_length))
     scores = predict_scores(clf, probe)
     assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
+
+# ---------------------------------------------------------------------------
+# Forests grown in worker processes
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker counts of the process pools started while it is in use."""
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(model_module, "ProcessPoolExecutor", Recording)
+    return started
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _trained_bytes(kind, params):
+    X, y = _golden_fixture_rows()
+    return save_model(train(X, y, kind=kind, params=params, seed=3))
+
+
+def _trained_bytes_on_a_second_thread(kind, params):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_trained_bytes(kind, params)))
+    worker.start()
+    worker.join(timeout=600)
+    assert not worker.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("forest", None),  # bootstrap and column draws
+    ("forest", {"bootstrap": False, "min_leaf": 2, "tree_count": 57}),
+    ("forest", {"feature_subsample": 1, "max_depth": 4}),
+    ("tree", None),
+])
+def test_model_bytes_do_not_depend_on_the_worker_count(monkeypatch, pools, kind, params):
+    serial = _trained_bytes_on_a_second_thread(kind, params)
+    assert pools == []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        del pools[:]
+        assert _trained_bytes(kind, params) == serial
+        assert pools == ([] if cpus == 1 or kind == "tree" else [cpus])
+
+
+def test_a_small_forest_grows_in_this_process(monkeypatch, pools):
+    _cpus(monkeypatch, 2)
+    _trained_bytes("forest", {"tree_count": 4})
+    assert pools == []
+    rows = model_module._POOL_MIN_ROW_TREES // 40
+    assert model_module._forest_workers(np.zeros((rows - 1, 3)), 40) == 1
+    assert model_module._forest_workers(np.zeros((rows, 3)), 40) == 2
+    assert model_module._forest_workers(np.zeros((rows, 3)), 1) == 1
+
+
+def _stop_children():
+    """The child processes still running; they are stopped, so a failing
+    test does not leave the suite waiting on them at exit."""
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    return left
+
+
+def test_a_dead_worker_raises_and_leaves_no_process(dying_forest_workers, pools):
+    with pytest.raises(ChildProcessError, match="worker process died"):
+        _trained_bytes("forest", None)
+    assert pools == [2]
+    assert _stop_children() == []
+
+
+def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools):
+    _cpus(monkeypatch, 3)
+    forks = []
+    real_fork = os.fork
+
+    def fork_twice():
+        forks.append(1)
+        if len(forks) > 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_twice)
+    with pytest.raises(OSError):
+        _trained_bytes("forest", None)
+    assert pools == [3] and len(forks) == 3
+    assert _stop_children() == []
+
+
+_KILLED_PARENT_SCRIPT = """
+import os
+import numpy as np
+from ab_linkpred import model, train
+
+os.sched_getaffinity = lambda pid: {0, 1}
+grow_one = model._grow_one
+
+def announce(t, data=None):
+    print("worker", os.getpid(), flush=True)
+    return grow_one(t, data)
+
+model._grow_one = announce
+rng = np.random.default_rng(0)
+train(rng.integers(0, 50, size=(400, 8)), rng.integers(0, 2, 400), params={"tree_count": 10_000})
+"""
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(model_module.__file__)), os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT_SCRIPT], env=env, stdout=subprocess.PIPE,
+                              text=True, start_new_session=True)
+    try:
+        assert parent.stdout.readline().startswith("worker")
+        parent.kill()
+        parent.wait(timeout=60)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(parent.pid, 0)  # is any process of the group left?
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        pytest.fail("forest workers outlived their killed parent")
+    finally:
+        try:
+            os.killpg(parent.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        parent.stdout.close()
