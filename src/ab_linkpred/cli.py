@@ -322,7 +322,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--heatmap", default=None, help="also render an SVG F1 heatmap")
     threads = _checked(int, "an integer >= 1 (--threads or AB_LINKPRED_THREADS)", lambda n: n >= 1)
     p.add_argument("--threads", type=threads, default=os.environ.get("AB_LINKPRED_THREADS", "1"),
-                   help="worker threads (default $AB_LINKPRED_THREADS or 1)")
+                   help="accepted for compatibility, no effect; cap CPUs with the process's affinity")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("train", help="train a model and save it as JSON")

@@ -1,16 +1,15 @@
 """Confusion counting, precision/recall/F1, experiment runner, grid sweeps.
 
 A sweep cell is one full pipeline run: featurize, balance, stratified
-split, train, score the test rows, count. Cells are independent and every
-random choice derives from the cell's seed, so a sweep is reproducible
-regardless of worker count or completion order.
+split, train, score the test rows, count. Cells run one after another and
+every random choice derives from the cell's seed, so a sweep is
+reproducible whatever the number of CPUs its forests are grown on.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -194,12 +193,12 @@ def sweep(
     mask_pair_edge: bool = False,
     threads: int = 1,
 ) -> SweepResult:
-    """Run every cell of the grid a in 1..a_max, b in 0..b_max.
+    """Run every cell of the grid a in 1..a_max, b in 0..b_max, one after
+    another in the calling thread, in canonical (a, b, strategy, seed) order.
 
     A cell that fails records "ExceptionType: message" as its error, in
-    place, and the sweep continues. Records
-    are ordered canonically by (a, b, strategy, seed) whatever the worker
-    schedule; centrality tables are computed once per measure and shared.
+    place, and the sweep continues. Centrality tables are computed once per
+    measure and shared. threads is accepted for compatibility, to no effect.
     """
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
@@ -209,10 +208,8 @@ def sweep(
     seeds = list(seeds)
     tables = {kind: table_for(g, Strategy(kind)) for kind in set(strategies) if kind != "random"}
 
-    grid = sorted(product(range(1, a_max + 1), range(0, b_max + 1), strategies, seeds))
-
-    def run_cell(cell) -> SweepCell:
-        a, b, kind, seed = cell
+    cells = []
+    for a, b, kind, seed in sorted(product(range(1, a_max + 1), range(0, b_max + 1), strategies, seeds)):
         config = cell_config(a, b, kind, seed, mask_pair_edge)
         start = time.perf_counter()
         try:
@@ -231,13 +228,7 @@ def sweep(
             report = None
             error = f"{type(err).__name__}: {err}"
         wall_ms = (time.perf_counter() - start) * 1000.0
-        return SweepCell(a, b, kind, seed, report, wall_ms, error)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_cell, grid))
-    else:
-        cells = [run_cell(cell) for cell in grid]
+        cells.append(SweepCell(a, b, kind, seed, report, wall_ms, error))
     return SweepResult(cells=cells)
 
 

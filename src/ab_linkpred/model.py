@@ -10,8 +10,8 @@ models serialize to plain JSON:
   by their draw counts, and candidate columns drawn once per level; a node
   whose drawn columns hold no valid split tries further columns. Tree t
   draws from its own generator, so a large enough forest is grown in
-  forked worker processes, one per usable CPU, with the same bytes as a
-  serial run (see _forest_workers).
+  one-shot forked worker processes, one per usable CPU and each growing
+  every k-th tree, with the same bytes as a serial run (see _fork_map).
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -23,12 +23,10 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import multiprocessing.connection
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,30 +380,9 @@ def _resolve_feature_count(total: int, requested) -> int:
     return requested
 
 
-# Set in each forest worker process by _init_worker: the training inputs,
-# inherited through fork rather than pickled.
-_worker_data = None
-
-
-def _init_worker(*data) -> None:
-    global _worker_data
-    _worker_data = data
-    # Ctrl-C interrupts the parent alone, which lets the workers finish the
-    # trees they hold and stop; a worker whose parent is killed would wait
-    # for work forever, so it exits with it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-
-
-def _exit_with_parent() -> None:
-    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
-    os._exit(1)
-
-
-def _grow_one(t: int, data: tuple | None = None) -> dict:
-    """Tree t of a forest, from its own generator; data defaults to the
-    worker's inherited (X, ranks, y, params, n_features, seed)."""
-    X, ranks, y, params, n_features, seed = _worker_data if data is None else data
+def _grow_one(t: int, data: tuple) -> dict:
+    """Tree t of a forest, from its own generator; data is (X, ranks, y, params, n_features, seed)."""
+    X, ranks, y, params, n_features, seed = data
     rng = np.random.default_rng(derive_seed(seed, "tree", t))
     return _grow_tree(X, ranks, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
 
@@ -413,59 +390,90 @@ def _grow_one(t: int, data: tuple | None = None) -> dict:
 # Worker processes grow a forest only from this many rows x trees on.
 # Measured with 2 workers on forests of 10-100 trees and 4-162 columns: at
 # 10,000 they saved 11-38%, at 5,000 0-29%, and at 2,500 some forests took
-# up to twice as long, the pool's start and per-tree round trips costing
-# more than the trees. Rows x columns x trees predicted this worse.
+# up to twice as long, starting the workers and collecting the trees
+# costing more than the trees. Rows x columns x trees predicted this worse.
 _POOL_MIN_ROW_TREES = 10_000
 
 
 def _forest_workers(X: np.ndarray, tree_count: int) -> int:
     """Worker processes to grow a forest in; 1 means grow it in this process.
 
-    More than one only when rows x trees reaches _POOL_MIN_ROW_TREES, this
-    process runs a single thread (forking a multi-threaded process is
-    unsafe, so sweep cells on worker threads train here) and fork is
-    available; then one per usable CPU, at most one per tree.
+    More than one only when rows x trees reaches _POOL_MIN_ROW_TREES, the
+    platform reports usable CPUs (all such can fork), and only the main thread
+    runs (forking a multi-threaded process is unsafe, and _fork_map sets a
+    SIGINT handler); then one per usable CPU, at most one per tree.
     """
-    if X.shape[0] * tree_count < _POOL_MIN_ROW_TREES or threading.active_count() != 1:
+    if X.shape[0] * tree_count < _POOL_MIN_ROW_TREES or not hasattr(os, "sched_getaffinity"):
         return 1
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+    if threading.active_count() != 1 or threading.get_ident() != threading.main_thread().ident:
         return 1
     return min(len(os.sched_getaffinity(0)), tree_count)
+
+
+def _fork_map(fn, count: int, workers: int) -> list:
+    """[fn(i) for i in range(count)], computed in `workers` forked processes.
+
+    Worker w computes the indices i = w (mod workers) on inputs inherited
+    through fork, sends its list once over a pipe and exits, so the result
+    does not depend on the worker count; one worker runs in this process. A
+    worker that dies raises ChildProcessError. Whatever ends the call (an
+    error, a failed fork, Ctrl-C), the processes it started are stopped.
+    """
+    if workers == 1:
+        return [fn(i) for i in range(count)]
+
+    def work(indices: range, writer) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which stops the workers
+        share = []
+        for i in indices:
+            if os.getppid() != multiprocessing.parent_process().pid:
+                return  # the parent is gone, and nobody wants the share
+            share.append(fn(i))
+        with suppress(BrokenPipeError):
+            writer.send(share)
+
+    out = [None] * count
+    started = []  # (process, reader) per worker
+    # A Ctrl-C while the workers are forked waits until each is recorded in
+    # started: one raised inside Process.start could lose a forked worker.
+    held = []
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+    try:
+        for w in range(workers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            args = (range(w, count, workers), writer)
+            process = multiprocessing.get_context("fork").Process(target=work, args=args, daemon=True)
+            process.start()
+            started.append((process, reader))
+            writer.close()
+        signal.signal(signal.SIGINT, previous)
+        if held:
+            signal.raise_signal(signal.SIGINT)
+        for w, (process, reader) in enumerate(started):
+            try:
+                out[w::workers] = reader.recv()
+            except EOFError:
+                process.join()
+                raise ChildProcessError(f"a forest worker process died with exit code {process.exitcode}") from None
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        for process, reader in started:
+            process.terminate()
+            process.join()
+            reader.close()
+    return out
 
 
 def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
     """Grow the trees, in worker processes when _forest_workers allows it.
 
     Tree t depends only on the inputs and derive_seed(seed, "tree", t), so
-    the trees, collected in index order, are the same bytes whichever
-    process grows them. A worker that dies raises ChildProcessError.
+    its bytes do not depend on which process grows it.
     """
     n_features = _resolve_feature_count(X.shape[1], params["feature_subsample"])
     data = (X, _dense_ranks(X), y, params, n_features, seed)
     tree_count = params["tree_count"]
-    workers = _forest_workers(X, tree_count)
-    if workers == 1:
-        return {"trees": [_grow_one(t, data) for t in range(tree_count)]}
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_init_worker, initargs=data
-    )
-    try:
-        trees = list(pool.map(_grow_one, range(tree_count)))
-    except BrokenProcessPool as err:
-        raise ChildProcessError(f"a forest worker process died while growing trees: {err}") from None
-    except OSError:
-        # A fork that fails stops the pool before its manager thread starts
-        # and hands out work; the workers forked before it would wait for
-        # work forever and hold up interpreter exit. Once work is out, a
-        # worker must not be stopped: it may be writing a result.
-        if pool._executor_manager_thread is None:
-            for process in pool._processes.values():
-                process.terminate()
-                process.join()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return {"trees": trees}
+    return {"trees": _fork_map(lambda t: _grow_one(t, data), tree_count, _forest_workers(X, tree_count))}
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +697,7 @@ def load_model(source) -> Classifier:
         data = data.decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
         raise ModelFormatError(f"model document is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")

@@ -46,3 +46,19 @@ def dying_forest_workers(monkeypatch):
     """Two usable CPUs, and forest worker processes that die on their first tree."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(model, "_grow_one", _die_in_worker)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker counts above 1 that forests were grown with while it is in use."""
+    started = []
+    forest_workers = model._forest_workers
+
+    def recording(X, tree_count):
+        workers = forest_workers(X, tree_count)
+        if workers > 1:
+            started.append(workers)
+        return workers
+
+    monkeypatch.setattr(model, "_forest_workers", recording)
+    return started

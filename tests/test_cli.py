@@ -93,6 +93,15 @@ def test_complete_rejects_unsafe_tree_with_exit_2(clique_file, tmp_path, corrupt
     assert "Traceback" not in done.stderr
 
 
+def test_complete_rejects_a_deeply_nested_model_with_exit_2(clique_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "added.txt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model document is not valid JSON")
+
+
 def test_complete_rejects_non_integer_feature_settings_with_exit_2(clique_file, tmp_path):
     model = tmp_path / "m.json"
     assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--out", str(model)]) == 0

@@ -1,4 +1,7 @@
 import io
+import os
+import threading
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ab_linkpred import (
     run_experiment,
     sweep,
 )
+from ab_linkpred import evaluate
 from ab_linkpred.evaluate import CSV_HEADER, SweepResult
 
 from graphgen import gnm_edges, graph_from_edges
@@ -130,6 +134,33 @@ def test_sweep_threads_match_serial(small_sweep):
     for mine, theirs in zip(small_sweep.cells, threaded.cells):
         assert (mine.a, mine.b, mine.strategy, mine.seed) == (theirs.a, theirs.b, theirs.strategy, theirs.seed)
         assert mine.report == theirs.report
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_sweep_runs_its_cells_in_the_calling_thread_in_canonical_order(monkeypatch, threads):
+    calls = []
+    run = evaluate.run_experiment
+
+    def recording(g, config, **kwargs):
+        calls.append((threading.get_ident(), config.a, config.b, config.strategy.kind, config.seed))
+        return run(g, config, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_experiment", recording)
+    g = graph_from_edges(gnm_edges(20, 45, seed=2))
+    sweep(g, 2, 1, ["random", "degree"], [2, 1], classifier_params={"tree_count": 5}, threads=threads)
+    assert [call[0] for call in calls] == [threading.get_ident()] * 16
+    assert [call[1:] for call in calls] == list(product([1, 2], [0, 1], ["degree", "random"], [1, 2]))
+
+
+def test_a_large_forest_in_a_sweep_grows_in_worker_processes(monkeypatch, pools):
+    g = graph_from_edges(gnm_edges(61, 270, seed=4))  # 405 training rows x 100 trees
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = sweep(g, 1, 0, ["degree"], [1], threads=2).cells[0]
+    assert pools == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked = sweep(g, 1, 0, ["degree"], [1], threads=2).cells[0]
+    assert pools == [2]
+    assert serial.error is None and forked.report == serial.report
 
 
 def test_sweep_records_cell_failures_and_continues():

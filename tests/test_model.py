@@ -1,3 +1,4 @@
+import _thread
 import errno
 import hashlib
 import json
@@ -9,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -456,6 +456,8 @@ def test_save_load_round_trip_logistic():
 def test_load_rejects_corrupt_documents(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(b"this is not json")
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(b"[" * 100_000 + b"]" * 100_000)  # nested deeper than the parser recurses
     with pytest.raises(ModelFormatError):
         load_model(b'{"version": 99, "kind": "forest"}')
     with pytest.raises(ModelFormatError):
@@ -594,20 +596,6 @@ def test_mutated_tree_documents_load_and_predict_or_raise(small_forest_doc, data
 # ---------------------------------------------------------------------------
 # Forests grown in worker processes
 
-@pytest.fixture()
-def pools(monkeypatch):
-    """The worker counts of the process pools started while it is in use."""
-    started = []
-
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(model_module, "ProcessPoolExecutor", Recording)
-    return started
-
-
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
@@ -650,6 +638,27 @@ def test_a_small_forest_grows_in_this_process(monkeypatch, pools):
     assert model_module._forest_workers(np.zeros((rows - 1, 3)), 40) == 1
     assert model_module._forest_workers(np.zeros((rows, 3)), 40) == 2
     assert model_module._forest_workers(np.zeros((rows, 3)), 1) == 1
+
+
+def test_a_thread_unknown_to_threading_grows_its_forest_in_this_process(monkeypatch, pools):
+    _cpus(monkeypatch, 1)
+    serial = _trained_bytes("forest", None)
+    _cpus(monkeypatch, 2)
+    out = []
+
+    def grow():
+        try:
+            out.append(_trained_bytes("forest", None))
+        except BaseException as err:
+            out.append(err)
+
+    _thread.start_new_thread(grow, ())  # threading.active_count() stays 1
+    deadline = time.monotonic() + 120
+    while not out and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert out == [serial]
+    assert pools == []
+    assert threading.active_count() == 1  # the check registered no thread, so later forests still fork
 
 
 def _stop_children():
@@ -705,11 +714,26 @@ train(rng.integers(0, 50, size=(400, 8)), rng.integers(0, 2, 400), params={"tree
 """
 
 
-def test_workers_exit_when_their_parent_is_killed():
+def _start_forked_training():
+    """A fresh interpreter training a 10,000-tree forest on 2 workers, in a
+    process group of its own; each tree prints a `worker` line first."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(model_module.__file__)), os.environ.get("PYTHONPATH")])))
-    parent = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT_SCRIPT], env=env, stdout=subprocess.PIPE,
-                              text=True, start_new_session=True)
+    return subprocess.Popen([sys.executable, "-c", _KILLED_PARENT_SCRIPT], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+
+
+def _kill_group(parent):
+    try:
+        os.killpg(parent.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    parent.stdout.close()
+    parent.stderr.close()
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    parent = _start_forked_training()
     try:
         assert parent.stdout.readline().startswith("worker")
         parent.kill()
@@ -723,8 +747,17 @@ def test_workers_exit_when_their_parent_is_killed():
             time.sleep(0.05)
         pytest.fail("forest workers outlived their killed parent")
     finally:
-        try:
-            os.killpg(parent.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        parent.stdout.close()
+        _kill_group(parent)
+
+
+def test_ctrl_c_stops_the_parent_and_its_workers_at_once():
+    parent = _start_forked_training()
+    try:
+        assert parent.stdout.readline().startswith("worker")
+        os.killpg(parent.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
+        err = parent.communicate(timeout=10)[1]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(parent.pid, 0)  # no process of the group is left
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+    finally:
+        _kill_group(parent)
