@@ -37,7 +37,7 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {STRATEGY_KINDS}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random strategy requires a seed")
-        if self.seed is not None and not isinstance(self.seed, numbers.Integral):
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)):
             raise ValueError(f"strategy seed must be an integer, got {self.seed!r}")
 
 

@@ -229,21 +229,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _completion_steps(g, trace, cfg: CompletionConfig) -> list[dict]:
-    """Per scoring pass of complete(): the non-edges it scored and the edges
-    it added. An iterative run ends with a pass that adds nothing, which the
-    trace does not record, unless max_steps stops it first."""
-    added = [len(batch) for batch in trace.batches]
-    if cfg.mode == "iterative" and (cfg.max_steps is None or len(added) < cfg.max_steps):
-        added.append(0)
-    non_edges = g.node_count * (g.node_count - 1) // 2 - g.edge_count
-    steps = []
-    for count in added:
-        steps.append({"non_edges": non_edges, "added": count})
-        non_edges -= count
-    return steps
-
-
 def _cmd_complete(args) -> int:
     try:
         cfg = CompletionConfig(epsilon=args.epsilon, mode=args.mode, max_steps=args.max_steps)
@@ -267,7 +252,7 @@ def _cmd_complete(args) -> int:
         "featurize_config": clf.featurize_config,
     }
     _write_manifest(args.out, "complete", params, [clf.featurize_config["seed"]], args.graph, wall,
-                    {"steps": _completion_steps(g, trace, cfg)})
+                    {"steps": trace.steps})
     added = len(trace.added_edges)
     print(
         f"added {added} edge(s) over {len(trace.batches)} step(s); "
@@ -366,7 +351,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # numpy's MemoryError names the size it refused
         print(f"error: {err}", file=sys.stderr)
         return 2
 

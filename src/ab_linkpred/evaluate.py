@@ -118,8 +118,6 @@ def fit(
     needs labels), which is output-identical to extracting everything first
     and then subsampling. The model carries config as its featurize_config.
     """
-    if table is None:
-        table = table_for(g, config.strategy)
     if balance_ratio is None:
         data = build_dataset(g, config, table=table)
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from ._streams import open_stream
-from .centrality import CentralityTable, Strategy, neighbor_orders, table_for
+from .centrality import CentralityTable, Strategy, neighbor_orders
 from .graph import Graph
 
 
@@ -45,8 +45,11 @@ class FeatureConfig:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.mask_pair_edge, bool):
+            raise ValueError(f"mask_pair_edge must be a bool, got {self.mask_pair_edge!r}")
         if self.a < 1:
             raise ValueError(f"a must be >= 1, got {self.a}")
         if self.b < 0:
@@ -221,10 +224,8 @@ def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: Centrality
     Unmasked, a block depends on its root alone, so each distinct endpoint's
     block is built once and the rows are gathered from that table. The mask
     hides nothing unless the pair is an edge, so under mask_pair_edge only
-    the positive rows are rebuilt.
+    the positive rows are rebuilt. neighbor_orders computes a missing table.
     """
-    if table is None:
-        table = table_for(g, config.strategy)
     orders = neighbor_orders(g, config.strategy, table)
     a, b, k = config.a, config.b, config.block_length
     blocks = np.zeros((g.node_count + 1, k), dtype=np.int32)

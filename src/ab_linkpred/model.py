@@ -354,19 +354,19 @@ def _depth_first_arrays(levels: list) -> dict:
     return _tree_arrays(out)
 
 
-def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Positive fraction at the leaf reached by each row of X, or by each
-    row X[rows] when row indices are given (read in place, not copied)."""
+def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positive fraction at the leaf reached by each row X[rows], for the
+    row indices rows (read in place, not copied)."""
     feature = tree["feature"]
     threshold = tree["threshold"]
     left = tree["left"]
     right = tree["right"]
-    node = np.zeros(len(X) if rows is None else len(rows), dtype=np.int32)
+    node = np.zeros(len(rows), dtype=np.int32)
     active = np.flatnonzero(feature[node] >= 0)
     while len(active):
         cur = node[active]
         cols = feature[cur]
-        go_left = X[active if rows is None else rows[active], cols] <= threshold[cur]
+        go_left = X[rows[active], cols] <= threshold[cur]
         node[active] = np.where(go_left, left[cur], right[cur])
         active = active[feature[node[active]] >= 0]
     return tree["value"][node]
@@ -558,10 +558,11 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
 
     Feature values must be finite numbers, else ValueError. Only the rows
     scoring at least floor (in [0, 1]) need their exact score: a forest
-    stops walking a row once votes / tree count can no longer reach floor,
-    and reports that row's votes so far, which score below floor. Every
-    other row, and every row of the tree and logistic kinds, gets its full
-    score, so `scores >= floor` is the same mask whatever the floor.
+    walks each tree over the rows that can still reach floor (all of them
+    at floor 0), drops a row once votes / tree count can no longer reach
+    floor, and reports that row's votes so far, which score below floor.
+    Every other row, and every row of the tree and logistic kinds, gets its
+    full score, so `scores >= floor` is the same mask whatever the floor.
     """
     matrix = _as_matrix(X)
     if matrix.shape[1] != c.feature_length:
@@ -572,14 +573,11 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
         return _sigmoid(matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"])
     trees = c.payload["trees"]
     if c.kind == "tree":
-        return _tree_leaf_values(trees[0], matrix)
+        return _tree_leaf_values(trees[0], matrix, np.arange(len(matrix)))
     total = len(trees)
     votes = np.zeros(matrix.shape[0], dtype=np.int64)
     rows = np.arange(matrix.shape[0])  # the rows that can still reach floor
     for t, tree in enumerate(trees, 1):
-        if not floor:
-            votes += _tree_leaf_values(tree, matrix) >= 0.5
-            continue
         votes[rows] += _tree_leaf_values(tree, matrix, rows) >= 0.5
         # The final score divides the same way and only grows with votes,
         # so a row dropped here cannot reach floor with the trees left.
@@ -680,8 +678,9 @@ def load_model(source) -> Classifier:
     """Rebuild a Classifier from bytes, a JSON string, a stream, or a path.
 
     Raises ModelFormatError for any document that cannot be scored safely:
-    bad JSON or version, missing fields, unknown hyperparameters or feature
-    settings, node arrays of unequal length, a tree whose child pointers do
+    bad JSON or version, missing fields, a seed that is not an int, unknown
+    or mistyped hyperparameters or feature settings (a bool is not an int),
+    node arrays of unequal length, a tree whose child pointers do
     not move forward, a split on a column outside the feature length, a
     missing threshold, a leaf value outside [0, 1], logistic weights of the
     wrong length, or a logistic weight or bias that is not a finite number.
@@ -713,6 +712,9 @@ def load_model(source) -> Classifier:
     feature_length = doc["feature_length"]
     if type(feature_length) is not int or feature_length < 1:
         raise ModelFormatError(f"feature_length must be a positive integer, got {feature_length!r}")
+    seed = doc["seed"]
+    if type(seed) is not int:
+        raise ModelFormatError(f"seed must be an integer, got {seed!r}")
     try:
         payload = _payload_from_jsonable(kind, doc["payload"])
         if not isinstance(doc["hyperparameters"], dict):
@@ -720,7 +722,6 @@ def load_model(source) -> Classifier:
         _merged_params(kind, doc["hyperparameters"])
         if doc.get("featurize_config") is not None:
             config_from_dict(doc["featurize_config"])
-        seed = int(doc["seed"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelFormatError(f"malformed model document: {err}") from None
     _check_payload(kind, payload, feature_length)

@@ -9,12 +9,13 @@ The model is never retrained during completion.
 A step scores its non-edges with predict_scores(..., floor=epsilon): a
 forest stops voting on a pair as soon as its score can no longer reach
 epsilon, so a step walks far fewer trees than full scoring, while every
-added edge and its recorded score are exactly those of full scoring.
+added edge and its recorded score are exactly those of full scoring. The
+trace records each pass's scored non-edges and added edges as its steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .featurize import FeatureConfig, _feature_rows, config_from_dict, labeled_candidates
 from .graph import Graph
@@ -54,10 +55,13 @@ class CompletionTrace:
 
     States grow monotonically: every batch edge was absent from all earlier
     states and scored at least epsilon against the state it was added to.
+    steps has one {"non_edges": scored, "added": n} per scoring pass, with
+    an iterative run's last pass, which adds nothing and has no batch.
     """
 
     batches: list[list[tuple[int, int, float]]]
     final_graph: Graph
+    steps: list[dict] = field(default_factory=list)
 
     @property
     def added_edges(self) -> list[tuple[int, int, float]]:
@@ -77,16 +81,16 @@ def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureCon
     return feat
 
 
-def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> list[tuple[int, int, float]]:
+def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
-    candidate-pair order."""
+    candidate-pair order, and the number of non-edges scored."""
     u, v, edge = labeled_candidates(g)
     u, v, edge = u[~edge], v[~edge], edge[~edge]
     if not len(u):
-        return []
+        return [], 0
     scores = predict_scores(model, _feature_rows(g, feat, u, v, edge, None), floor=epsilon)
     keep = scores >= epsilon
-    return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist()))
+    return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist())), len(u)
 
 
 def complete(
@@ -99,21 +103,23 @@ def complete(
 
     Noniterative mode is a single step against g, recorded even when it adds
     nothing. Iterative mode rescores each intermediate state and stops at
-    the first step that adds nothing (not recorded) or after max_steps
-    steps, so every recorded batch is nonempty.
+    the first step that adds nothing (no batch, only a steps entry) or after
+    max_steps steps, so every batch is nonempty.
     """
     feat = _feature_config(model, feat)
     work = g.copy()
     batches: list[list[tuple[int, int, float]]] = []
+    steps: list[dict] = []
     limit = 1 if cfg.mode == "noniterative" else cfg.max_steps
     while limit is None or len(batches) < limit:
-        batch = _step(work, model, feat, cfg.epsilon)
+        batch, scored = _step(work, model, feat, cfg.epsilon)
+        steps.append({"non_edges": scored, "added": len(batch)})
         if not batch and cfg.mode == "iterative":
             break
         for u, v, _ in batch:
             work.add_edge(u, v)
         batches.append(batch)
-    return CompletionTrace(batches=batches, final_graph=work)
+    return CompletionTrace(batches=batches, final_graph=work, steps=steps)
 
 
 def complete_noniterative(

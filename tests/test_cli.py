@@ -115,6 +115,50 @@ def test_complete_rejects_non_integer_feature_settings_with_exit_2(clique_file, 
     assert "Traceback" not in done.stderr
 
 
+def test_complete_rejects_a_fractional_model_seed_with_exit_2(clique_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["seed"] = 1.5  # once read as 1, so a re-save changed the bytes
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "added.txt")]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer, got 1.5\n"
+    assert not (tmp_path / "added.txt").exists()
+
+
+# a=100000 b=1000 rows hold 2 * (10**5 + 10**13) + 2 values. The first array
+# of that width, one block per node of the 61-node graph, needs 2.2 PiB, far
+# beyond any address space, so numpy refuses it before allocating anything.
+HUGE_A, HUGE_B = 100_000, 1000
+
+
+def _assert_one_memory_error_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "PiB" in lines[0]
+
+
+def test_train_with_an_unallocatable_feature_size_exits_2(gnm_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", str(gnm_file), "--a", str(HUGE_A), "--b", str(HUGE_B), "--out", str(model)]) == 2
+    _assert_one_memory_error_line(capsys.readouterr().err)
+    assert not model.exists()
+
+
+def test_complete_with_an_unallocatable_feature_size_exits_2(gnm_file, tmp_path, capsys):
+    config = {"a": HUGE_A, "b": HUGE_B, "strategy_kind": "degree", "strategy_seed": None,
+              "mask_pair_edge": False, "seed": 1}
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.5]}
+    doc = {"version": 1, "kind": "forest", "hyperparameters": {}, "seed": 1, "featurize_config": config,
+           "feature_length": 2 * (HUGE_A + HUGE_A * HUGE_A * HUGE_B) + 2, "payload": {"trees": [leaf]}}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["complete", str(gnm_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "added.txt")]) == 2
+    _assert_one_memory_error_line(capsys.readouterr().err)
+
+
 def test_centrality_output_sorted_descending(clique_file, capsys):
     assert main(["centrality", str(clique_file), "--measure", "degree", "--top", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import io
 import os
+import sys
 import threading
 from itertools import product
 
@@ -17,7 +18,8 @@ from ab_linkpred import (
     run_experiment,
     sweep,
 )
-from ab_linkpred import evaluate
+from ab_linkpred import centrality, evaluate
+from ab_linkpred.centrality import STRATEGY_KINDS
 from ab_linkpred.evaluate import CSV_HEADER, SweepResult
 
 from graphgen import gnm_edges, graph_from_edges
@@ -102,6 +104,27 @@ def test_run_experiment_rejects_non_finite_balance_ratio(two_k6, ratio):
     cfg = FeatureConfig(a=1, b=0, strategy=Strategy("degree"), seed=1)
     with pytest.raises(ValueError, match="negative_ratio must be a finite number > 0"):
         run_experiment(two_k6, cfg, balance_ratio=ratio)
+
+
+@pytest.mark.parametrize("balance_ratio", [1.0, None])
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_run_experiment_looks_up_its_centrality_table_once(two_k6, monkeypatch, kind, balance_ratio):
+    calls = []
+    original = centrality.table_for
+
+    def counted(g, strategy):
+        calls.append(strategy.kind)
+        return original(g, strategy)
+
+    # Every module attribute that holds table_for, as the benchmark's tracer patches it.
+    for name, module in list(sys.modules.items()):
+        if name == "ab_linkpred" or name.startswith("ab_linkpred."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    run_experiment(two_k6, evaluate.cell_config(2, 1, kind, 3), classifier_params={"tree_count": 3},
+                   balance_ratio=balance_ratio)
+    assert calls == [kind]
 
 
 @pytest.fixture(scope="module")

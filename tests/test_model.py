@@ -550,6 +550,13 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     ("hyperparameters", {"feature_subsample": 2.0}),
     ("hyperparameters", {"bootstrap": "no"}),
     ("hyperparameters", {"bootstrap": 1}),
+    ("seed", 1.5),
+    ("seed", "7"),
+    ("seed", True),
+    ("featurize_config", {"a": True, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 1}),
+    ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": True}),
+    ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "random", "strategy_seed": True, "mask_pair_edge": False, "seed": 1}),
+    ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": "no", "seed": 1}),
 ])
 def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, value):
     # A logistic payload goes into a logistic document, whose other fields are valid.

@@ -2,16 +2,21 @@ import pytest
 
 from ab_linkpred import (
     CompletionConfig,
+    CompletionTrace,
     FeatureConfig,
     Strategy,
     balanced_dataset,
     build_dataset,
+    complete,
     complete_iterative,
     complete_noniterative,
+    fit,
     predict_scores,
     split,
     train,
 )
+
+from ab_linkpred.evaluate import cell_config
 
 from graphgen import gnm_edges, graph_from_edges, two_cliques_edges
 
@@ -182,3 +187,34 @@ def test_model_featurize_config_used_when_feat_omitted(clique_setup):
     model.featurize_config = config_to_dict(cfg)
     trace = complete_noniterative(g, model, CompletionConfig(0.9, "noniterative"))
     assert trace.final_graph.edge_count == g.edge_count
+
+
+@pytest.fixture(scope="module")
+def cli_clique_model():
+    """The model of `ab-linkpred train cliques.txt --a 2 --b 1 --seed 5`."""
+    g = graph_from_edges(two_cliques_edges(6))
+    return g, fit(g, cell_config(2, 1, "degree", 5))[0]
+
+
+@pytest.mark.parametrize("epsilon,mode,cap,steps", [
+    (0.0, "noniterative", None, [(36, 36)]),
+    (1.0, "noniterative", None, [(36, 0)]),
+    (0.0, "iterative", None, [(36, 36), (0, 0)]),  # the last pass finds no non-edge left
+    (0.0, "iterative", 1, [(36, 36)]),  # the cap ends the run before a pass that adds nothing
+    (1.0, "iterative", 3, [(36, 0)]),
+    (0.05, "iterative", None, [(36, 4), (32, 32), (0, 0)]),
+    (0.0, "iterative", 0, []),
+])
+def test_trace_steps_count_every_scoring_pass(cli_clique_model, epsilon, mode, cap, steps):
+    g, model = cli_clique_model
+    trace = complete(g, model, CompletionConfig(epsilon, mode, cap))
+    assert [(step["non_edges"], step["added"]) for step in trace.steps] == steps
+    assert all(set(step) == {"non_edges", "added"} for step in trace.steps)
+    # Batches are the passes that add edges (every pass when noniterative).
+    assert [len(batch) for batch in trace.batches] == [n for _, n in steps if n or mode == "noniterative"]
+
+
+def test_a_trace_built_from_batches_and_graph_has_no_steps():
+    g = graph_from_edges(two_cliques_edges(3))
+    trace = CompletionTrace([[(4, 1, 1.0)]], g)
+    assert trace.steps == [] and trace.added_edges == [(4, 1, 1.0)]
