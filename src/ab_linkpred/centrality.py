@@ -10,14 +10,13 @@ Betweenness and closeness are read from one shared shortest-path pass.
 
 from __future__ import annotations
 
-import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._seeds import derive_seed
+from ._seeds import as_int, derive_seed
 from .graph import Graph
 
 MEASURES = ("degree", "betweenness", "closeness")
@@ -37,8 +36,8 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {STRATEGY_KINDS}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random strategy requires a seed")
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)):
-            raise ValueError(f"strategy seed must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", as_int(self.seed, "strategy seed"))
 
 
 @dataclass

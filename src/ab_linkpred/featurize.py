@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import derive_seed
+from ._seeds import as_int, derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, neighbor_orders
 from .graph import Graph
@@ -45,9 +44,7 @@ class FeatureConfig:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not isinstance(self.mask_pair_edge, bool):
             raise ValueError(f"mask_pair_edge must be a bool, got {self.mask_pair_edge!r}")
         if self.a < 1:
@@ -254,7 +251,7 @@ def _balanced_row_indices(y: np.ndarray, negative_ratio: float, seed: int) -> np
     if len(pos) == 0:
         raise ValueError("cannot balance a dataset with no positive rows")
     neg = np.flatnonzero(y == 0)
-    want = min(int(negative_ratio * len(pos)), len(neg))
+    want = int(min(negative_ratio * len(pos), len(neg)))
     rng = random.Random(derive_seed(seed, "balance"))
     chosen = rng.sample(range(len(neg)), want)
     return np.sort(np.concatenate([pos, neg[chosen]])).astype(np.int64)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import derive_seed
+from ._seeds import as_int, derive_seed
 from ._streams import open_stream
 from .featurize import config_from_dict
 
@@ -249,9 +249,9 @@ def _grow_tree(
     so an unlucky draw of constant columns does not end a branch that could
     still be split.
 
-    The nodes are finally numbered in depth-first order: the children of
-    the j-th split node in preorder are 2j+1 and 2j+2. The tree is fully
-    determined by (data, params, rng seed).
+    The nodes are numbered in the order they are grown, level by level:
+    the children of the j-th split node are 2j+1 and 2j+2. The tree is
+    fully determined by (data, params, rng seed).
     """
     m, total_features = ranks.shape
     if bootstrap:
@@ -315,43 +315,18 @@ def _grow_tree(
         rows, weight, pos_weight = rows[moved][order], weight[moved][order], pos_weight[moved][order]
         sizes = np.bincount(child)
         depth += 1
-    return _depth_first_arrays(levels)
+    return _level_order_arrays(levels)
 
 
-def _depth_first_arrays(levels: list) -> dict:
-    """Node arrays in depth-first numbering from per-level node arrays.
-
-    Within a level, the children of the i-th split node of the level above
-    are nodes 2i and 2i+1.
-    """
-    splits = [feature >= 0 for _, feature, _ in levels]
-    size = [np.ones(len(s), dtype=np.int64) for s in splits]
-    for d in range(len(levels) - 2, -1, -1):
-        size[d][splits[d]] += size[d + 1][0::2] + size[d + 1][1::2]
-    pre = [np.zeros(1, dtype=np.int64)]  # preorder position
-    for d in range(len(levels) - 1):
-        parent = pre[d][splits[d]]
-        child = np.empty(2 * len(parent), dtype=np.int64)
-        child[0::2] = parent + 1
-        child[1::2] = parent + 1 + size[d + 1][0::2]
-        pre.append(child)
-    is_split = np.concatenate(splits)
-    split_pre = np.concatenate(pre)[is_split]
-    j = np.empty(len(split_pre), dtype=np.int64)
-    j[np.argsort(split_pre)] = np.arange(len(split_pre))
-    new_id = np.zeros(len(is_split), dtype=np.int64)
-    new_id[1:] = 2 * np.repeat(j, 2) + np.tile([1, 2], len(j))
-    n = len(is_split)
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    left[new_id[is_split]] = 2 * j + 1
-    right[new_id[is_split]] = 2 * j + 2
-    out = {"left": left, "right": right}
-    for key, col in (("value", 0), ("feature", 1), ("threshold", 2)):
-        arr = np.empty(n, dtype=_TREE_DTYPES[key])
-        arr[new_id] = np.concatenate([level[col] for level in levels])
-        out[key] = arr
-    return _tree_arrays(out)
+def _level_order_arrays(levels: list) -> dict:
+    """Node arrays numbered in level order from per-level node arrays: as each
+    level holds the children of the split nodes above, left then right, the
+    j-th split node has the children 2j+1 and 2j+2."""
+    value, feature, threshold = (np.concatenate(arrays) for arrays in zip(*levels))
+    left = np.full(len(feature), -1)
+    left[feature >= 0] = 2 * np.arange(np.count_nonzero(feature >= 0)) + 1
+    right = np.where(left >= 0, left + 1, -1)
+    return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
 
 
 def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -521,12 +496,13 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, params: dict, seed: int):
 def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42) -> Classifier:
     """Fit a classifier; deterministic given (data, kind, params, seed).
 
-    Feature values must be finite numbers, labels exactly 0 or 1, count
-    hyperparameters (tree_count, min_leaf, feature_subsample, max_depth,
-    epochs) ints, where None is allowed only for feature_subsample and
-    max_depth, and bootstrap a bool; else ValueError. Large forests are
-    grown in worker processes (see _forest_workers); a worker that dies
-    raises ChildProcessError and a failed fork its OSError.
+    Feature values must be finite numbers, labels exactly 0 or 1, the seed
+    an integer (kept as an int), count hyperparameters (tree_count,
+    min_leaf, feature_subsample, max_depth, epochs) ints, where None is
+    allowed only for feature_subsample and max_depth, and bootstrap a bool
+    (which is no integer); else ValueError. Large forests are grown in
+    worker processes (see _forest_workers); a worker that dies raises
+    ChildProcessError and a failed fork its OSError.
     """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])
@@ -534,6 +510,7 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
         raise ValueError("cannot train on an empty dataset")
     if labels.min() == labels.max():
         raise ValueError("training data holds a single class, need both labels")
+    seed = as_int(seed, "seed")
     merged = _merged_params(kind, params)
     loss_history: list[float] = []
     if kind == "forest":
@@ -558,11 +535,12 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
 
     Feature values must be finite numbers, else ValueError. Only the rows
     scoring at least floor (in [0, 1]) need their exact score: a forest
-    walks each tree over the rows that can still reach floor (all of them
-    at floor 0), drops a row once votes / tree count can no longer reach
-    floor, and reports that row's votes so far, which score below floor.
-    Every other row, and every row of the tree and logistic kinds, gets its
-    full score, so `scores >= floor` is the same mask whatever the floor.
+    walks each tree over the rows that can still reach need, the fewest
+    votes whose score reaches floor (0 at floor 0, so every row), drops a
+    row once its votes plus the trees left fall short of need, and reports
+    that row's votes so far, which score below floor. Every other row, and
+    every row of the tree and logistic kinds, gets its full score, so
+    `scores >= floor` is the same mask whatever the floor.
     """
     matrix = _as_matrix(X)
     if matrix.shape[1] != c.feature_length:
@@ -575,13 +553,15 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     if c.kind == "tree":
         return _tree_leaf_values(trees[0], matrix, np.arange(len(matrix)))
     total = len(trees)
+    # The fewest votes whose score reaches floor, by the final score's own
+    # division; a row short of them with the trees left cannot reach floor.
+    need = int(np.searchsorted(np.arange(total + 1) / total, floor))
     votes = np.zeros(matrix.shape[0], dtype=np.int64)
     rows = np.arange(matrix.shape[0])  # the rows that can still reach floor
     for t, tree in enumerate(trees, 1):
         votes[rows] += _tree_leaf_values(tree, matrix, rows) >= 0.5
-        # The final score divides the same way and only grows with votes,
-        # so a row dropped here cannot reach floor with the trees left.
-        rows = rows[(votes[rows] + (total - t)) / total >= floor]
+        if total - t < need:
+            rows = rows[votes[rows] + (total - t) >= need]
     return votes / total
 
 
@@ -610,10 +590,21 @@ def _payload_to_jsonable(c: Classifier) -> dict:
     return {"weights": c.payload["weights"].tolist(), "bias": c.payload["bias"]}
 
 
+def _json_array(values, name: str, dtype) -> np.ndarray:
+    """values as a dtype array, if a JSON array of integers (numbers for a float dtype; a bool is neither)."""
+    integers = np.issubdtype(dtype, np.integer)
+    if not isinstance(values, list) or not set(map(type, values)) <= ({int} if integers else {int, float}):
+        raise TypeError(f"{name} must be an array of JSON {'integers' if integers else 'numbers'}")
+    return np.array(values, dtype=dtype)
+
+
 def _payload_from_jsonable(kind: str, doc: dict) -> dict:
     if kind in ("forest", "tree"):
-        return {"trees": [_tree_arrays(tree) for tree in doc["trees"]]}
-    return {"weights": np.array(doc["weights"], dtype=np.float64), "bias": float(doc["bias"])}
+        return {"trees": [{key: _json_array(tree[key], key, dtype) for key, dtype in _TREE_DTYPES.items()}
+                          for tree in doc["trees"]]}
+    if type(doc["bias"]) not in (int, float):
+        raise TypeError(f"bias must be a JSON number, got {doc['bias']!r}")
+    return {"weights": _json_array(doc["weights"], "weights", np.float64), "bias": float(doc["bias"])}
 
 
 def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
@@ -680,10 +671,12 @@ def load_model(source) -> Classifier:
     Raises ModelFormatError for any document that cannot be scored safely:
     bad JSON or version, missing fields, a seed that is not an int, unknown
     or mistyped hyperparameters or feature settings (a bool is not an int),
-    node arrays of unequal length, a tree whose child pointers do
-    not move forward, a split on a column outside the feature length, a
-    missing threshold, a leaf value outside [0, 1], logistic weights of the
-    wrong length, or a logistic weight or bias that is not a finite number.
+    split columns or child pointers that are not JSON integers, other node
+    or logistic values that are not JSON numbers (a bool is neither), node
+    arrays of unequal length, a tree whose child pointers do not move
+    forward, a split on a column outside the feature length, a leaf value
+    outside [0, 1], logistic weights of the wrong length, or a threshold,
+    logistic weight or bias that is not a finite number.
     """
     if isinstance(source, (str, os.PathLike)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         with open(source, "rb") as f:

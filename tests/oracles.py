@@ -222,9 +222,9 @@ def reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap):
     Each splittable node, taken first in first out, then draws one key per
     column when fewer than all columns are candidates, and tries blocks of
     n_features columns in key order until one holds a valid split. The
-    nodes are numbered depth first: a node's children get the next two
-    node IDs when it splits, so the j-th split node in preorder has
-    children 2j+1 and 2j+2.
+    finished nodes are numbered in level order, taken first in first out:
+    a node's children get the next two node IDs when it splits, so the
+    j-th split node in level order has children 2j+1 and 2j+2.
     """
     m, total_features = X.shape
     row_idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
@@ -263,17 +263,17 @@ def reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap):
             column.append(blank)
         return len(feature) - 1
 
-    stack = [(new_node(root), root)]
-    while stack:
-        i, node = stack.pop()
+    queue = collections.deque([(new_node(root), root)])
+    while queue:
+        i, node = queue.popleft()
         if "split" not in node:
             continue
         feature[i], threshold[i] = node["split"]
         low, high = node["children"]
         left[i] = new_node(low)
         right[i] = new_node(high)
-        stack.append((right[i], high))
-        stack.append((left[i], low))
+        queue.append((left[i], low))
+        queue.append((right[i], high))
 
     return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
 

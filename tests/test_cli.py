@@ -128,6 +128,19 @@ def test_complete_rejects_a_fractional_model_seed_with_exit_2(clique_file, tmp_p
     assert not (tmp_path / "added.txt").exists()
 
 
+def test_complete_rejects_a_fractional_split_column_with_exit_2(clique_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["payload"]["trees"][0]["feature"][0] = 0.4
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "added.txt")]) == 2
+    assert capsys.readouterr().err == "error: malformed model document: feature must be an array of JSON integers\n"
+    assert not (tmp_path / "added.txt").exists()
+
+
 # a=100000 b=1000 rows hold 2 * (10**5 + 10**13) + 2 values. The first array
 # of that width, one block per node of the 61-node graph, needs 2.2 PiB, far
 # beyond any address space, so numpy refuses it before allocating anything.
@@ -365,6 +378,20 @@ def test_eval_reports_unbalanced_by_default(clique_file, capsys):
     out = capsys.readouterr().out
     assert "balanced test metrics" in out
     assert "unbalanced test metrics" in out
+
+
+def test_a_huge_finite_balance_keeps_every_negative(clique_file, tmp_path, capsys):
+    base = ["--a", "2", "--b", "1", "--seed", "3"]
+    for ratio in ("1e308", "1e9"):
+        assert main(["train", str(clique_file), *base, "--balance", ratio, "--out", str(tmp_path / ratio)]) == 0
+    assert (tmp_path / "1e308").read_bytes() == (tmp_path / "1e9").read_bytes()
+    capsys.readouterr()
+    outputs = []
+    for ratio in ("1e308", "1e9"):
+        assert main(["eval", str(clique_file), *base, "--balance", ratio]) == 0
+        outputs.append(capsys.readouterr())
+    assert "Traceback" not in outputs[0].err
+    assert outputs[0].out.replace("1e+308", "1000000000.0") == outputs[1].out
 
 
 def test_complete_epsilon_above_everything_adds_nothing(clique_file, tmp_path):

@@ -253,6 +253,19 @@ def test_balance_rejects_non_finite_ratio_with_value_error(ratio):
             call()
 
 
+def test_a_huge_finite_ratio_keeps_every_negative():
+    g = graph_from_edges(gnm_edges(60, 100, seed=3))
+    cfg = degree_cfg(1, 0)
+    d = build_dataset(g, cfg)
+    pairs = ((balance(d, 1e308, seed=5), balance(d, 1e9, seed=5)),
+             (balanced_dataset(g, cfg, 1e308, seed=5), balanced_dataset(g, cfg, 1e9, seed=5)))
+    for huge, every in pairs:
+        assert huge.negative_count == d.negative_count
+        assert huge.pairs == every.pairs
+        assert np.array_equal(huge.X, every.X)
+        assert np.array_equal(huge.y, every.y)
+
+
 def test_balanced_dataset_matches_unfused_pipeline():
     g = graph_from_edges(gnm_edges(45, 120, seed=8))
     for cfg in (degree_cfg(2, 1, seed=9), random_cfg(3, 0, seed=9)):

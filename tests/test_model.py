@@ -1,4 +1,5 @@
 import _thread
+import dataclasses
 import errno
 import hashlib
 import json
@@ -21,6 +22,7 @@ from ab_linkpred import (
     ModelFormatError,
     Strategy,
     balanced_dataset,
+    fit,
     load_model,
     predict_label,
     predict_score,
@@ -363,8 +365,8 @@ def test_floor_is_exact_on_random_forests(data, rows, cols, trees, seed):
 # such a change must say so, since saved models and sweep results then
 # no longer reproduce across versions.
 GOLDEN_MODEL_DIGESTS = {
-    "forest": "d45497efa76a0599e5d3e01f7ff5673eb7764ad355b549409dd2491d39c1f819",
-    "tree": "41d9780a0a085b7b77821b6e9cd5f2a63005558e2743361690a7e1fc90a82256",
+    "forest": "02a13fe1d2dbec2b6fcde178c64056bed5d422b191aa1892903535882638caa4",
+    "tree": "84022cd2546309e374769c18b14599f75279a83365d440bfc338980a46117237",
     "logistic": "39bfefb711a0762d3bb63f9e2eba52136c6baf4d60352198c89b21bbcc93ff69",
 }
 
@@ -374,6 +376,47 @@ def test_model_bytes_match_golden_digests(kind, params):
     X, y = _golden_fixture_rows()
     clf = train(X, y, kind=kind, params=params, seed=3)
     assert hashlib.sha256(save_model(clf)).hexdigest() == GOLDEN_MODEL_DIGESTS[kind]
+
+
+# sha256 of the golden forest and tree as earlier versions saved them, with
+# their nodes numbered depth first.
+DEPTH_FIRST_MODEL_DIGESTS = {
+    "forest": "d45497efa76a0599e5d3e01f7ff5673eb7764ad355b549409dd2491d39c1f819",
+    "tree": "41d9780a0a085b7b77821b6e9cd5f2a63005558e2743361690a7e1fc90a82256",
+}
+
+
+def _depth_first(tree):
+    """The tree with its nodes numbered as earlier versions saved them: the
+    j-th split node in preorder has the children 2j+1 and 2j+2."""
+    old = [0]  # old node ID of each new node ID
+    left = np.full(len(tree["feature"]), -1, dtype=np.int32)
+    right = left.copy()
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if tree["feature"][old[i]] < 0:
+            continue
+        left[i], right[i] = len(old), len(old) + 1
+        old += [tree["left"][old[i]], tree["right"][old[i]]]
+        stack += [right[i], left[i]]
+    out = {key: tree[key][old] for key in ("feature", "threshold", "value")}
+    return {**out, "left": left, "right": right}
+
+
+@pytest.mark.parametrize("kind,params", [("forest", {"tree_count": 4}), ("tree", None)])
+def test_depth_first_numbering_gives_the_earlier_model_bytes_and_the_same_scores(kind, params):
+    X, y = _golden_fixture_rows()
+    clf = train(X, y, kind=kind, params=params, seed=3)
+    earlier = dataclasses.replace(clf, payload={"trees": [_depth_first(t) for t in clf.payload["trees"]]})
+    data = save_model(earlier)
+    assert hashlib.sha256(data).hexdigest() == DEPTH_FIRST_MODEL_DIGESTS[kind]
+    assert len(data) == len(save_model(clf))
+    loaded = load_model(data)
+    assert save_model(loaded) == data
+    probe = np.vstack([X, np.random.default_rng(3).integers(0, 42, size=(300, X.shape[1]))])
+    for floor in (0.0, 0.5, 0.9):
+        assert predict_scores(loaded, probe, floor=floor).tobytes() == predict_scores(clf, probe, floor=floor).tobytes()
 
 
 def test_training_input_validation():
@@ -391,6 +434,38 @@ def test_training_input_validation():
         train([[1], [2]], [0, 1], params={"bogus": 3})
     with pytest.raises(ValueError):
         train([[1], [2]], [0, 1], params={"min_leaf": 0})
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True])
+def test_train_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        train([[1], [2]], [0, 1], seed=seed)
+
+
+def test_train_keeps_a_numpy_integer_seed_as_an_int():
+    X, y = _golden_fixture_rows()
+    clf = train(X, y, params={"tree_count": 4}, seed=np.int64(3))
+    assert type(clf.seed) is int
+    assert hashlib.sha256(save_model(clf)).hexdigest() == GOLDEN_MODEL_DIGESTS["forest"]
+
+
+def _fitted_bytes(strategy, **settings):
+    g = graph_from_edges(two_cliques_edges(6))
+    config = FeatureConfig(strategy=strategy, **settings)
+    return save_model(fit(g, config, classifier_params={"tree_count": 3})[0])
+
+
+def test_a_numpy_integer_strategy_seed_is_kept_as_an_int():
+    strategy = Strategy("random", seed=np.int64(4))
+    assert type(strategy.seed) is int
+    assert _fitted_bytes(strategy, a=2, b=1, seed=5) == _fitted_bytes(Strategy("random", seed=4), a=2, b=1, seed=5)
+
+
+def test_numpy_integer_feature_settings_are_kept_as_ints():
+    config = FeatureConfig(a=np.int64(2), b=np.int64(1), strategy=Strategy("degree"), seed=np.int64(5))
+    assert [type(value) for value in (config.a, config.b, config.seed)] == [int] * 3
+    settings = {"a": np.int64(2), "b": np.int64(1), "seed": np.int64(5)}
+    assert _fitted_bytes(Strategy("degree"), **settings) == _fitted_bytes(Strategy("degree"), a=2, b=1, seed=5)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -523,6 +598,13 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
         load_model(json.dumps(doc))
 
 
+def _stump(**changes):
+    """A forest payload of one valid split on column 0, with some node arrays replaced."""
+    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+            "value": [0.5, 0.0, 1.0]}
+    return {"trees": [{**tree, **changes}]}
+
+
 @pytest.mark.parametrize("field,value", [
     ("feature_length", 0),
     ("feature_length", "26"),
@@ -557,6 +639,19 @@ def test_load_rejects_unsafe_trees(small_forest_doc, corruption):
     ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": True}),
     ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "random", "strategy_seed": True, "mask_pair_edge": False, "seed": 1}),
     ("featurize_config", {"a": 2, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": "no", "seed": 1}),
+    ("payload", _stump(feature=[0.4, -1, -1])),
+    ("payload", _stump(feature=[True, -1, -1])),
+    ("payload", _stump(left=[1.0, -1, -1])),
+    ("payload", _stump(left=[True, -1, -1])),
+    ("payload", _stump(right=[2.0, -1, -1])),
+    ("payload", _stump(threshold=["0.5", 0.0, 0.0])),
+    ("payload", _stump(threshold=[True, 0.0, 0.0])),
+    ("payload", _stump(value=["0.5", 0.0, 1.0])),
+    ("payload", _stump(value=[0.5, False, True])),
+    ("payload", {"weights": ["1", "2"] + [0.0] * 24, "bias": 0.0}),
+    ("payload", {"weights": [True] + [0.0] * 25, "bias": 0.0}),
+    ("payload", {"weights": [0.0] * 26, "bias": "0.5"}),
+    ("payload", {"weights": [0.0] * 26, "bias": True}),
 ])
 def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, value):
     # A logistic payload goes into a logistic document, whose other fields are valid.
@@ -565,6 +660,16 @@ def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, va
     doc[field] = value
     with pytest.raises(ModelFormatError):
         load_model(json.dumps(doc))
+
+
+def test_the_stump_payload_loads_and_its_numbers_round_trip(small_forest_doc, small_logistic_doc):
+    doc = json.loads(small_forest_doc)
+    doc["payload"] = _stump()
+    assert save_model(load_model(json.dumps(doc))) == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    doc = json.loads(small_logistic_doc)
+    doc["payload"] = {"weights": [1] + [0.5] * 25, "bias": 2}
+    loaded = load_model(json.dumps(doc))
+    assert loaded.payload["weights"][0] == 1.0 and loaded.payload["bias"] == 2.0
 
 
 def test_tree_on_values_near_the_float_limit_round_trips():
