@@ -30,10 +30,11 @@ class FeatureConfig:
 
     ``a`` is the number of neighbors taken per expanded node, ``b`` the
     number of expansion rounds. ``seed`` drives every randomized stage of a
-    pipeline built from this config. ``mask_pair_edge`` hides the (u, v)
-    edge itself while collecting neighbors; the label always reflects the
-    true graph. Off by default: the plain features deliberately expose the
-    pair's own edge through the level-0 neighbors.
+    pipeline built from this config. ``mask_pair_edge`` hides the pair's
+    own edge: v is left out of u's level-0 group and u out of v's, the only
+    place the edge can appear. The label always reflects the true graph.
+    Off by default: the plain features deliberately expose the pair's own
+    edge through the level-0 neighbors.
     """
 
     a: int
@@ -124,42 +125,44 @@ def config_from_dict(doc: dict) -> FeatureConfig:
     )
 
 
-def _emit_group(orders, node: int, a: int, visited: set, block: list, mask_u: int, mask_v: int) -> None:
-    """Append node's first `a` unvisited ordered neighbors, zero-padded.
+def _emit_group(neighbors, a: int, visited: set, block: list) -> None:
+    """Append the first `a` unvisited entries of neighbors, zero-padded.
 
     Emitted IDs join the visited set immediately, so later groups of the
-    same block never repeat them. A zero node has no neighbors by
-    definition and yields `a` zeros.
+    same block never repeat them. A zero entry is expanded with orders[0],
+    the empty list, so its group is `a` zeros.
     """
     filled = 0
-    if node:
-        for w in orders[node]:
-            if w in visited:
-                continue
-            if (w == mask_v and node == mask_u) or (w == mask_u and node == mask_v):
-                continue
-            block.append(w)
-            visited.add(w)
-            filled += 1
-            if filled == a:
-                break
+    for w in neighbors:
+        if w in visited:
+            continue
+        block.append(w)
+        visited.add(w)
+        filled += 1
+        if filled == a:
+            break
     if filled < a:
         block.extend((0,) * (a - filled))
 
 
-def _neighbor_block(orders, root: int, a: int, b: int, mask_u: int, mask_v: int) -> list[int]:
+def _neighbor_block(orders, root: int, a: int, b: int, hidden: int = 0) -> list[int]:
     """One root's block: level-0 group plus b expansion rounds.
 
     The visited set starts as {root}, so the root never appears in its own
-    block and no nonzero ID is emitted twice within it.
+    block and no nonzero ID is emitted twice within it. The hidden node
+    (by default 0, which names no node) is left out of the level-0 group;
+    that masks the edge (root, hidden) from the whole block, since the root
+    is expanded only there, and when hidden is reached and expanded later
+    the root is already visited.
     """
     visited = {root}
     block: list[int] = []
-    _emit_group(orders, root, a, visited, block, mask_u, mask_v)
+    level0 = [w for w in orders[root] if w != hidden] if hidden else orders[root]  # no copy when unmasked
+    _emit_group(level0, a, visited, block)
     for i in range(b):
         lo = i * a
         for node in block[lo:lo + a]:
-            _emit_group(orders, node, a, visited, block, mask_u, mask_v)
+            _emit_group(orders[node], a, visited, block)
     return block
 
 
@@ -202,32 +205,34 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
     """One row per candidate pair (or per given pair, in the given order).
 
     The centrality table is computed when not supplied. Explicit pairs must
-    name two distinct nodes in 1..n, else ValueError.
+    name two distinct nodes in 1..n, else ValueError; whatever their form,
+    Dataset.pairs holds them as (u, v) tuples of ints.
     """
     if pairs is None:
         u, v, edge = labeled_candidates(g)
-        pairs = pair_list(u, v)
     else:
-        pairs = list(pairs)
-        u, v = _pair_columns(pairs, g.node_count)
+        u, v = _pair_columns(list(pairs), g.node_count)
         edge = g.adjacency()[u, v]
     X = _feature_rows(g, config, u, v, edge, table)
-    return Dataset(X=X, y=edge.astype(np.int8), pairs=pairs, config=config)
+    return Dataset(X=X, y=edge.astype(np.int8), pairs=pair_list(u, v), config=config)
 
 
 def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
     """build_dataset's X for the endpoint columns u, v; edge says which pairs are edges.
 
     Unmasked, a block depends on its root alone, so each distinct endpoint's
-    block is built once and the rows are gathered from that table. The mask
-    hides nothing unless the pair is an edge, so under mask_pair_edge only
-    the positive rows are rebuilt. neighbor_orders computes a missing table.
+    block is built once and the rows are gathered from that table. Under
+    mask_pair_edge a pair's own edge can only show in an endpoint's level-0
+    group, and only if the pair is an edge, so a positive row rebuilds its
+    u-block only when v is in the table's level-0 group of u, and its
+    v-block only when u is in that of v; every other block is the table's.
+    neighbor_orders computes a missing table.
     """
     orders = neighbor_orders(g, config.strategy, table)
     a, b, k = config.a, config.b, config.block_length
     blocks = np.zeros((g.node_count + 1, k), dtype=np.int32)
     for root in np.unique(np.concatenate([u, v])).tolist():
-        blocks[root] = _neighbor_block(orders, root, a, b, 0, 0)
+        blocks[root] = _neighbor_block(orders, root, a, b)
     X = np.empty((len(u), config.row_length), dtype=np.int32)
     for lo in range(0, len(u), _GATHER_ROWS):
         rows = slice(lo, lo + _GATHER_ROWS)
@@ -236,10 +241,11 @@ def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: Centrality
     X[:, -2] = u
     X[:, -1] = v
     if config.mask_pair_edge:
-        for i in np.flatnonzero(edge).tolist():
-            pu, pv = int(u[i]), int(v[i])
-            X[i, :k] = _neighbor_block(orders, pu, a, b, pu, pv)
-            X[i, k:2 * k] = _neighbor_block(orders, pv, a, b, pu, pv)
+        pos = np.flatnonzero(edge)
+        for cols, root, hidden in ((slice(0, k), u[pos], v[pos]), (slice(k, 2 * k), v[pos], u[pos])):
+            held = (blocks[root, :a] == hidden[:, None]).any(axis=1)
+            for i, r, h in zip(pos[held].tolist(), root[held].tolist(), hidden[held].tolist()):
+                X[i, cols] = _neighbor_block(orders, r, a, b, h)
     return X
 
 

@@ -25,6 +25,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -89,6 +90,14 @@ def _as_labels(y, rows: int) -> np.ndarray:
 
 
 def _merged_params(kind: str, params: dict | None) -> dict:
+    """The kind's default hyperparameters updated with params, checked.
+
+    Count hyperparameters must be ints (None where nullable), bootstrap a
+    bool, and learning_rate > 0 and l2 >= 0 ints or floats within the float
+    range (a bool is neither); a numpy float is kept as a Python float, so
+    the model serializes. Else ValueError. train and load_model share this
+    check.
+    """
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown classifier kind {kind!r}, expected one of {tuple(DEFAULT_PARAMS)}")
     merged = dict(DEFAULT_PARAMS[kind])
@@ -110,8 +119,19 @@ def _merged_params(kind: str, params: dict | None) -> dict:
             raise ValueError(f"tree_count must be >= 1, got {merged['tree_count']}")
         if not isinstance(merged["bootstrap"], bool):
             raise ValueError(f"bootstrap must be true or false, got {merged['bootstrap']!r}")
-    if kind == "logistic" and merged["epochs"] < 0:
-        raise ValueError(f"epochs must be >= 0, got {merged['epochs']}")
+    if kind == "logistic":
+        if merged["epochs"] < 0:
+            raise ValueError(f"epochs must be >= 0, got {merged['epochs']}")
+        for key in ("learning_rate", "l2"):
+            value = merged[key]
+            if isinstance(value, np.floating):
+                merged[key] = value = float(value)
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if merged["learning_rate"] <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {merged['learning_rate']}")
+        if merged["l2"] < 0:
+            raise ValueError(f"l2 must be >= 0, got {merged['l2']}")
     return merged
 
 
@@ -499,10 +519,14 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     Feature values must be finite numbers, labels exactly 0 or 1, the seed
     an integer (kept as an int), count hyperparameters (tree_count,
     min_leaf, feature_subsample, max_depth, epochs) ints, where None is
-    allowed only for feature_subsample and max_depth, and bootstrap a bool
-    (which is no integer); else ValueError. Large forests are grown in
-    worker processes (see _forest_workers); a worker that dies raises
-    ChildProcessError and a failed fork its OSError.
+    allowed only for feature_subsample and max_depth, bootstrap a bool
+    (which is no integer), and learning_rate > 0 and l2 >= 0 finite ints or
+    floats that are not bools (a numpy float is kept as a Python float); else
+    ValueError. A logistic fit that diverges to weights or a bias that are
+    not finite raises ValueError too, so every returned model saves and
+    loads. Large forests are grown in worker processes (see
+    _forest_workers); a worker that dies raises ChildProcessError and a
+    failed fork its OSError.
     """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])
@@ -519,7 +543,11 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
         single = {**merged, "tree_count": 1, "feature_subsample": matrix.shape[1], "bootstrap": False}
         payload = _train_forest(matrix, labels, single, seed)
     else:
-        payload, loss_history = _train_logistic(matrix, labels, merged, seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            payload, loss_history = _train_logistic(matrix, labels, merged, seed)
+        if not (np.isfinite(payload["weights"]).all() and math.isfinite(payload["bias"])):
+            raise ValueError("logistic training diverged to weights or a bias that are not finite; "
+                             "lower learning_rate or l2")
     return Classifier(
         kind=kind,
         params=merged,
@@ -627,6 +655,8 @@ def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
         return
     if not payload["trees"]:
         bad("the model holds no trees")
+    if kind == "tree" and len(payload["trees"]) != 1:
+        bad(f"a tree model holds exactly one tree, got {len(payload['trees'])}")
     for t, tree in enumerate(payload["trees"]):
         size = tree["feature"].size
         if size == 0 or any(tree[key].shape != (size,) for key in _TREE_DTYPES):
@@ -672,11 +702,13 @@ def load_model(source) -> Classifier:
     bad JSON or version, missing fields, a seed that is not an int, unknown
     or mistyped hyperparameters or feature settings (a bool is not an int),
     split columns or child pointers that are not JSON integers, other node
-    or logistic values that are not JSON numbers (a bool is neither), node
-    arrays of unequal length, a tree whose child pointers do not move
-    forward, a split on a column outside the feature length, a leaf value
-    outside [0, 1], logistic weights of the wrong length, or a threshold,
-    logistic weight or bias that is not a finite number.
+    or logistic values that are not JSON numbers (a bool is neither), a
+    learning_rate or l2 that is not a finite number (or not > 0 and >= 0),
+    a tree model with other than exactly one tree, node arrays of unequal
+    length, a tree whose child pointers do not move forward, a split on a
+    column outside the feature length, a leaf value outside [0, 1],
+    logistic weights of the wrong length, or a threshold, logistic weight
+    or bias that is not a finite number.
     """
     if isinstance(source, (str, os.PathLike)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         with open(source, "rb") as f:

@@ -141,6 +141,20 @@ def test_complete_rejects_a_fractional_split_column_with_exit_2(clique_file, tmp
     assert not (tmp_path / "added.txt").exists()
 
 
+def test_complete_rejects_a_tree_model_with_two_trees_with_exit_2(clique_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--classifier", "tree",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["payload"]["trees"] *= 2
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "added.txt")]) == 2
+    assert capsys.readouterr().err == "error: malformed model payload: a tree model holds exactly one tree, got 2\n"
+    assert not (tmp_path / "added.txt").exists()
+
+
 # a=100000 b=1000 rows hold 2 * (10**5 + 10**13) + 2 values. The first array
 # of that width, one block per node of the 61-node graph, needs 2.2 PiB, far
 # beyond any address space, so numpy refuses it before allocating anything.

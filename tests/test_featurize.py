@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import random
 
 import numpy as np
 import pytest
+from hypothesis import Phase, event, given, settings
+from hypothesis import strategies as st
 
 from ab_linkpred import (
     FeatureConfig,
@@ -198,6 +201,49 @@ def test_build_dataset_explicit_pairs_match_oracle(pairs, mask):
     empty = edgeless(6)
     cfg = FeatureConfig(a=3, b=2, strategy=Strategy("closeness"), mask_pair_edge=mask)
     assert_same_bytes(build_dataset(empty, cfg), reference_dataset(empty, cfg))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    edges=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda e: (e[0], e[0] + e[1])),
+                   min_size=1, max_size=40),
+    a=st.integers(1, 4),
+    b=st.integers(0, 3),
+    kind=st.sampled_from(["degree", "betweenness", "closeness", "random"]),
+    ratio=st.sampled_from([0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_rows_match_the_oracle_on_random_graphs(edges, a, b, kind, ratio, seed):
+    g = graph_from_edges(sorted(set(edges)))
+    cfg = FeatureConfig(a=a, b=b, strategy=Strategy(kind, seed if kind == "random" else None),
+                        mask_pair_edge=True, seed=seed)
+    ref = reference_dataset(g, cfg)
+    assert_same_bytes(build_dataset(g, cfg), ref)
+    assert_same_bytes(balanced_dataset(g, cfg, ratio, seed=seed), balance(ref, ratio, seed))
+    # The mask changes a block only when the other endpoint is in the
+    # block's level-0 group, so both kinds of positive rows must occur.
+    plain = build_dataset(g, dataclasses.replace(cfg, mask_pair_edge=False))
+    k = cfg.block_length
+    for x, (u, v) in zip(plain.X.tolist(), plain.pairs):
+        if g.has_edge(u, v):
+            for group, hidden in ((x[:a], v), (x[k:k + a], u)):
+                event("hidden endpoint inside the level-0 group" if hidden in group else
+                      "hidden endpoint outside the level-0 group")
+
+
+def test_explicit_pairs_are_stored_as_int_tuples_whatever_their_form():
+    g = with_isolated_nodes()
+    cfg = degree_cfg(2, 1, mask=True)
+    want = build_dataset(g, cfg, pairs=[(5, 9), (26, 1), (2, 14), (14, 2)])
+    assert all(type(u) is int and type(v) is int for u, v in want.pairs)
+    for pairs in ([[5, 9], [26, 1], [2, 14], [14, 2]],
+                  np.array([(5, 9), (26, 1), (2, 14), (14, 2)]),
+                  [(np.int64(5), np.int64(9)), (np.int32(26), np.int32(1)), (np.int64(2), np.int64(14)),
+                   (np.uint8(14), np.uint8(2))]):
+        got = build_dataset(g, cfg, pairs=pairs)
+        assert_same_bytes(got, want)
+        assert [tuple(map(type, p)) for p in got.pairs] == [(int, int)] * 4
+        assert set(got.pairs) == set(want.pairs)  # hashable
 
 
 @pytest.mark.parametrize("bad", [[(0, 1)], [(3, -1)], [(-2, 4)], [(1, 29)], [(4, 4)], [(1, 2, 3)], [(1.0, 2.0)]])

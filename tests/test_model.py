@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ab_linkpred import (
@@ -212,7 +212,7 @@ def test_level_wise_forest_matches_reference_with_column_draws(columns, max_dept
     _assert_matches_reference(X, y, max_depth, min_leaf, True, 5, tree_count=3, n_features=n_features)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     data=st.data(),
     rows=st.integers(2, 40),
@@ -230,7 +230,7 @@ def test_level_wise_tree_matches_reference_on_tied_values(data, rows, cols, span
     _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap, seed, tree_count=2)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     data=st.data(),
     rows=st.integers(2, 40),
@@ -679,6 +679,66 @@ def test_tree_on_values_near_the_float_limit_round_trips():
     loaded = load_model(save_model(clf))
     assert save_model(loaded) == save_model(clf)
     assert predict_scores(loaded, X).tolist() == y
+
+
+@pytest.mark.parametrize("params", [
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"learning_rate": 0.0},
+    {"learning_rate": -0.1},
+    {"learning_rate": "0.1"},
+    {"learning_rate": True},
+    {"learning_rate": None},
+    {"learning_rate": 10**400},
+    {"l2": float("nan")},
+    {"l2": float("-inf")},
+    {"l2": -1.0},
+    {"l2": "0"},
+    {"l2": False},
+    {"learning_rate": 1e308},  # finite, but the weights overflow
+    {"l2": 1e308},
+])
+def test_train_returns_no_logistic_model_that_cannot_be_saved_and_loaded(params):
+    X, y = _golden_fixture_rows()
+    with pytest.raises(ValueError):
+        train(X, y, kind="logistic", params={"epochs": 50, **params}, seed=3)
+
+
+def test_numpy_float_logistic_numbers_are_kept_as_python_floats():
+    X, y = _golden_fixture_rows()
+    clf = train(X, y, kind="logistic", params={"epochs": 50, "learning_rate": np.float64(0.01), "l2": np.float64(0.0)},
+                seed=3)
+    assert [type(clf.params[key]) for key in ("learning_rate", "l2")] == [float, float]
+    assert hashlib.sha256(save_model(clf)).hexdigest() == GOLDEN_MODEL_DIGESTS["logistic"]
+    clf = train(X, y, kind="logistic", params={"epochs": 5, "learning_rate": np.float32(0.1)}, seed=3)
+    assert type(clf.params["learning_rate"]) is float
+    assert save_model(load_model(save_model(clf))) == save_model(clf)
+
+
+@pytest.mark.parametrize("params", [
+    {"learning_rate": "abc"},
+    {"learning_rate": True},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"learning_rate": 0},
+    {"learning_rate": None},
+    {"l2": "0"},
+    {"l2": -0.5},
+    {"l2": float("inf")},
+])
+def test_load_rejects_bad_logistic_numbers(small_logistic_doc, params):
+    doc = json.loads(small_logistic_doc)
+    doc["hyperparameters"].update(params)
+    with pytest.raises(ModelFormatError, match="learning_rate|l2"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_a_tree_model_without_exactly_one_tree():
+    X, y = _golden_fixture_rows()
+    doc = json.loads(save_model(train(X, y, kind="tree", seed=3)))
+    doc["payload"]["trees"] *= 2  # predict_scores would read only the first
+    with pytest.raises(ModelFormatError, match="exactly one tree"):
+        load_model(json.dumps(doc))
 
 
 def test_load_rejects_logistic_weights_of_wrong_length():
