@@ -178,14 +178,10 @@ def labeled_candidates(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, g.adjacency()[u, v]
 
 
-def pair_list(u: np.ndarray, v: np.ndarray) -> list[tuple[int, int]]:
-    """Endpoint columns as the (u, v) tuples of Dataset.pairs."""
-    return list(zip(u.tolist(), v.tolist()))
-
-
-def _pair_columns(pairs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint columns of explicit pairs; each must name two distinct nodes in 1..n."""
-    arr = np.asarray(pairs) if pairs else np.zeros((0, 2), dtype=np.intp)
+def _pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint columns of explicit pairs, a list or a (k, 2) array; each
+    must name two distinct nodes in 1..n."""
+    arr = np.asarray(pairs) if len(pairs) else np.zeros((0, 2), dtype=np.intp)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise ValueError("pairs must be a sequence of (u, v) integer node IDs")
     u, v = arr.T.astype(np.intp)
@@ -211,10 +207,10 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
     if pairs is None:
         u, v, edge = labeled_candidates(g)
     else:
-        u, v = _pair_columns(list(pairs), g.node_count)
+        u, v = _pair_columns(pairs if isinstance(pairs, np.ndarray) else list(pairs), g.node_count)
         edge = g.adjacency()[u, v]
     X = _feature_rows(g, config, u, v, edge, table)
-    return Dataset(X=X, y=edge.astype(np.int8), pairs=pair_list(u, v), config=config)
+    return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
 
 
 def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
@@ -296,7 +292,7 @@ def balanced_dataset(
         seed = config.seed
     u, v, edge = labeled_candidates(g)
     keep = _balanced_row_indices(edge.astype(np.int8), negative_ratio, seed)
-    return build_dataset(g, config, table=table, pairs=pair_list(u[keep], v[keep]))
+    return build_dataset(g, config, table=table, pairs=np.stack([u[keep], v[keep]], axis=1))
 
 
 def split(d: Dataset, test_fraction: float, seed: int) -> Split:

@@ -12,6 +12,8 @@ models serialize to plain JSON:
   draws from its own generator, so a large enough forest is grown in
   one-shot forked worker processes, one per usable CPU and each growing
   every k-th tree, with the same bytes as a serial run (see _fork_map).
+  Scoring walks each tree, in this process, over the rows still
+  unfinished, one gather per level.
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -351,20 +353,33 @@ def _level_order_arrays(levels: list) -> dict:
 
 def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positive fraction at the leaf reached by each row X[rows], for the
-    row indices rows (read in place, not copied)."""
-    feature = tree["feature"]
+    row indices rows (read in place, not copied when X is C-contiguous).
+
+    Only the unfinished rows are walked: their positions in rows, their
+    offsets into the flat matrix and their current nodes. A row goes right
+    where its value exceeds the node's threshold, by one gather from the
+    children stored in pairs (left, right), so any numbering whose child
+    pointers move forward is walked alike. Rows that reach a leaf take its
+    value and leave the three arrays. Indices are intp and gathers use
+    take, numpy's fastest gather for them.
+    """
+    feature = tree["feature"].astype(np.intp)
     threshold = tree["threshold"]
-    left = tree["left"]
-    right = tree["right"]
-    node = np.zeros(len(rows), dtype=np.int32)
-    active = np.flatnonzero(feature[node] >= 0)
-    while len(active):
-        cur = node[active]
-        cols = feature[cur]
-        go_left = X[rows[active], cols] <= threshold[cur]
-        node[active] = np.where(go_left, left[cur], right[cur])
-        active = active[feature[node[active]] >= 0]
-    return tree["value"][node]
+    child = np.stack([tree["left"], tree["right"]], axis=1).ravel().astype(np.intp)
+    flat = X.ravel()
+    out = np.empty(len(rows))
+    at = np.arange(len(rows))
+    offset = rows * X.shape[1]
+    node = np.zeros(len(rows), dtype=np.intp)
+    while len(at):
+        col = feature.take(node)
+        leaf = col < 0
+        if leaf.any():
+            out[at[leaf]] = tree["value"].take(node[leaf])
+            going = ~leaf
+            at, offset, node, col = at[going], offset[going], node[going], col[going]
+        node = child.take(2 * node + (flat.take(offset + col) > threshold.take(node)))
+    return out
 
 
 def _resolve_feature_count(total: int, requested) -> int:
@@ -570,7 +585,7 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     every row of the tree and logistic kinds, gets its full score, so
     `scores >= floor` is the same mask whatever the floor.
     """
-    matrix = _as_matrix(X)
+    matrix = np.ascontiguousarray(_as_matrix(X))  # the walk reads its rows in place
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
     if not 0.0 <= floor <= 1.0:

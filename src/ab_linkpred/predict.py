@@ -9,8 +9,10 @@ The model is never retrained during completion.
 A step scores its non-edges with predict_scores(..., floor=epsilon): a
 forest stops voting on a pair as soon as its score can no longer reach
 epsilon, so a step walks far fewer trees than full scoring, while every
-added edge and its recorded score are exactly those of full scoring. The
-trace records each pass's scored non-edges and added edges as its steps.
+added edge and its recorded score are exactly those of full scoring. Each
+tree moves only the pairs that have not reached a leaf down a level, in
+this process. The trace records each pass's scored non-edges and added
+edges as its steps.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ rebuilds both neighbor blocks of every pair one by one, the plain form of
 the block table that build_dataset gathers from. The tree reference grows
 a CART tree one node and one full sort per split, the plain form of the
 level-wise builder that train uses. The forest vote reference walks every
-row through every tree one node at a time, the plain form of the batched
-walk with early exit that predict_scores runs.
+row through every tree one node at a time, the plain form of the walk that
+predict_scores runs: that one moves all unfinished rows of a batch down a
+level by one gather from the paired child pointers, and drops rows at their
+leaves and rows that can no longer reach the floor.
 """
 
 from __future__ import annotations

@@ -1,15 +1,20 @@
+import copy
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ab_linkpred
 
+from ab_linkpred import FeatureConfig, Strategy, balanced_dataset, load_model, save_model, split, train
 from ab_linkpred.cli import main
+from ab_linkpred.featurize import config_to_dict
 
-from graphgen import edge_text, gnm_edges, two_cliques_edges
+from graphgen import community_edges, edge_text, gnm_edges, two_cliques_edges
 
 
 @pytest.fixture()
@@ -431,3 +436,56 @@ def test_complete_rejects_model_without_config(clique_file, tmp_path):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+@pytest.fixture(scope="module")
+def golden_documents(tmp_path_factory):
+    """A 40-node graph file, the forest, tree and logistic model documents of
+    the golden digests with their feature settings, and a working folder."""
+    edges = community_edges(40, 120, communities=3, seed=2)
+    folder = tmp_path_factory.mktemp("fuzz")
+    graph = folder / "g.txt"
+    graph.write_text(edge_text(edges))
+    config = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
+    parts = split(balanced_dataset(ab_linkpred.load_edge_list(graph), config, 1.0), 0.25, 7)
+    docs = []
+    for kind, params in (("forest", {"tree_count": 4}), ("tree", None), ("logistic", {"epochs": 50})):
+        clf = train(parts.Xtrain, parts.ytrain, kind=kind, params=params, seed=3)
+        clf.featurize_config = config_to_dict(config)
+        docs.append(json.loads(save_model(clf)))
+    return graph, docs, folder
+
+
+_BAD_VALUES = st.sampled_from(["x", [], {}, None, True, 1.5, -1, 0, 2**70, -2**70,
+                               float("nan"), float("inf"), -float("inf")])
+
+
+def _mutate(doc, data):
+    """Replace or delete one value of a JSON document, found by a random
+    walk down from the root that stops at each level with chance 1/4."""
+    holder, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (holder is None or data.draw(st.integers(0, 3)) > 0):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        holder, node = node, node[key]
+    if data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(_BAD_VALUES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_model_documents_complete_with_exit_0_1_or_2(golden_documents, data):
+    graph, docs, folder = golden_documents
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(doc, data)
+    model = folder / "m.json"
+    model.write_text(json.dumps(doc))
+    code = main(["complete", str(graph), "--model", str(model), "--epsilon", "0.5", "--mode", "iterative",
+                 "--max-steps", "2", "--out", str(folder / "added.txt")])
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code == 0:
+        saved = save_model(load_model(model.read_bytes()))
+        assert save_model(load_model(saved)) == saved
