@@ -8,7 +8,10 @@ models serialize to plain JSON:
   categorical, which axis-aligned splits handle well. Each tree is grown
   level by level, with its bootstrap sample kept as distinct rows weighted
   by their draw counts, and candidate columns drawn once per level; a node
-  whose drawn columns hold no valid split tries further columns. Tree t
+  whose drawn columns hold no valid split tries further columns. A level
+  finds its splits from a histogram of each (node, column) pair's rows per
+  distinct value when there are few distinct values per row, as at the
+  shallow levels, and from its rows sorted by value otherwise. Tree t
   draws from its own generator, so a large enough forest is grown in
   one-shot forked worker processes, one per usable CPU and each growing
   every k-th tree, with the same bytes as a serial run (see _fork_map).
@@ -153,17 +156,67 @@ def _small_int(top: int):
     return np.uint16 if top < 2**16 else np.int64
 
 
-def _dense_ranks(X: np.ndarray) -> np.ndarray:
-    """Each value's rank among the distinct values of its column."""
+def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's rank among the distinct values of its column, and those
+    distinct values: column c's, ascending, are values[offsets[c]:offsets[c + 1]]."""
     ranks = np.empty(X.shape, dtype=_small_int(X.shape[0] - 1))
+    distinct = []
     for col in range(X.shape[1]):
-        ranks[:, col] = np.unique(X[:, col], return_inverse=True)[1]
-    return ranks
+        column_values, ranks[:, col] = np.unique(X[:, col], return_inverse=True)
+        distinct.append(column_values)
+    offsets = np.cumsum([0] + [len(column_values) for column_values in distinct])
+    return ranks, np.concatenate([np.empty(0, dtype=X.dtype), *distinct]), offsets
+
+
+# A level's split search counts its entries into one histogram bin per
+# (node, candidate column, distinct value) when there are at most this many
+# bins per entry, and sorts its entries otherwise.
+_HISTOGRAM_BINS_PER_ENTRY = 2
+# A histogram bin sums count + positives * 2**_COUNT_BITS in one float64,
+# exact while a node's count stays below 2**_COUNT_BITS.
+_COUNT_BITS = 26
+
+
+def _histogram_boundaries(rank: np.ndarray, sizes: np.ndarray, seg_bins: np.ndarray, weight: np.ndarray,
+                          pos_weight: np.ndarray):
+    """_level_splits' boundaries from the entries' weighted counts in one bin
+    per (segment, rank); a boundary lies between consecutive non-empty bins
+    of one segment."""
+    seg_end = np.cumsum(seg_bins)
+    seg_start = seg_end - seg_bins
+    bins = (np.repeat(seg_start.reshape(-1, rank.shape[1]), sizes, axis=0) + rank).ravel()
+    packed = np.repeat(weight + pos_weight * float(2**_COUNT_BITS), rank.shape[1])
+    sums = np.bincount(bins, packed, seg_end[-1]).astype(np.int64)
+    filled = np.flatnonzero(sums)
+    sums = sums[filled]
+    filled_seg = np.searchsorted(seg_end, filled, side="right")
+    inner = np.flatnonzero(filled_seg[1:] == filled_seg[:-1])
+    b, bseg = filled[inner], filled_seg[inner]
+    cum_n = np.cumsum(sums & (2**_COUNT_BITS - 1))[inner]
+    cum_pos = np.cumsum(sums >> _COUNT_BITS)[inner]
+    return bseg, b - seg_start[bseg], filled[inner + 1] - seg_start[bseg], cum_n, cum_pos
+
+
+def _sorted_boundaries(rank: np.ndarray, sizes: np.ndarray, weight: np.ndarray, pos_weight: np.ndarray):
+    """_level_splits' boundaries from its entries sorted by (segment, rank);
+    a boundary lies between distinct ranks of one segment."""
+    k = rank.shape[1]
+    segments = np.arange(len(sizes) * k, dtype=_small_int(len(sizes) * k)).reshape(-1, k)
+    seg = np.repeat(segments, sizes, axis=0).ravel()
+    rank = rank.ravel()
+    order = np.lexsort((rank, seg))
+    entry = order // k
+    s_seg, s_rank = seg[order], rank[order]
+    cum_n = np.cumsum(weight[entry])
+    cum_pos = np.cumsum(pos_weight[entry])
+    b = np.flatnonzero((s_rank[1:] != s_rank[:-1]) & (s_seg[1:] == s_seg[:-1]))
+    return s_seg[b].astype(np.intp), s_rank[b], s_rank[b + 1], cum_n[b], cum_pos[b]
 
 
 def _level_splits(
-    X: np.ndarray,
     ranks: np.ndarray,
+    values: np.ndarray,
+    offsets: np.ndarray,
     rows: np.ndarray,
     weight: np.ndarray,
     pos_weight: np.ndarray,
@@ -173,49 +226,51 @@ def _level_splits(
 ):
     """Best split of each node of a level among its candidate columns.
 
-    The entries (rows, weight, pos_weight) are grouped by node, sizes[i] of
-    them for node i, whose candidate columns are cols[i]. Returns per node
-    the split column (-1 where no boundary is valid), the rank on the left
-    side of the cut, and the threshold.
+    ranks, values and offsets are _dense_ranks(X). The entries (rows,
+    weight, pos_weight) are grouped by node, sizes[i] of them for node i,
+    whose candidate columns are cols[i]. Returns per node the split column
+    (-1 where no boundary is valid), the rank on the left side of the cut,
+    and the threshold.
+
+    Row e under its node's j-th column is entry e * k + j, in segment
+    (node, j). Every boundary between two distinct ranks of a segment is
+    scored from the weighted counts left of it. When the level's segments
+    hold at most _HISTOGRAM_BINS_PER_ENTRY distinct ranks per entry in
+    total, those counts come from one histogram bin per (segment, rank);
+    otherwise from the entries sorted by (segment, rank). Both give the
+    same boundaries in the same order, with integer counts.
     """
     nodes, k = cols.shape
     total_features = ranks.shape[1]
     starts = np.cumsum(sizes) - sizes
     node_n = np.add.reduceat(weight, starts)
     node_pos = np.add.reduceat(pos_weight, starts)
-    node = np.repeat(np.arange(nodes), sizes)
     split_col = np.full(nodes, -1, dtype=np.intp)
     cut = np.zeros(nodes, dtype=ranks.dtype)
     threshold = np.zeros(nodes)
 
-    # Entry e * k + j is row e under its node's j-th column; sort the
-    # entries by (segment, rank).
-    seg = (node[:, None] * k + np.arange(k)).ravel().astype(_small_int(nodes * k))
-    rank = ranks.ravel()[((rows * total_features)[:, None] + cols[node]).ravel()]
-    order = np.lexsort((rank, seg))
-    entry = order // k
-    s_seg, s_rank = seg[order], rank[order]
-    cum_n = np.cumsum(weight[entry])
-    cum_pos = np.cumsum(pos_weight[entry])
+    rank = ranks.ravel().take((rows * total_features)[:, None] + np.repeat(cols, sizes, axis=0))
+    seg_bins = np.diff(offsets)[cols].ravel()
+    if seg_bins.sum() <= _HISTOGRAM_BINS_PER_ENTRY * rank.size and node_n.max() < 2**_COUNT_BITS:
+        bseg, low, high, cum_n, cum_pos = _histogram_boundaries(rank, sizes, seg_bins, weight, pos_weight)
+    else:
+        bseg, low, high, cum_n, cum_pos = _sorted_boundaries(rank, sizes, weight, pos_weight)
 
-    # Boundaries between distinct values inside a segment; left side ends at b.
-    b = np.flatnonzero((s_rank[1:] != s_rank[:-1]) & (s_seg[1:] == s_seg[:-1]))
-    bseg = s_seg[b].astype(np.intp)
     # Every segment of a node holds the node's rows, so the sums before
     # segment (i, j) are k times those of nodes before i plus j times i's.
     before_n = ((np.cumsum(node_n) - node_n)[:, None] * k + np.arange(k) * node_n[:, None]).ravel()
     before_pos = ((np.cumsum(node_pos) - node_pos)[:, None] * k + np.arange(k) * node_pos[:, None]).ravel()
-    left_n = cum_n[b] - before_n[bseg]
-    left_pos = cum_pos[b] - before_pos[bseg]
+    left_n = cum_n - before_n[bseg]
+    left_pos = cum_pos - before_pos[bseg]
     bnode = bseg // k
     right_n = node_n[bnode] - left_n
     right_pos = node_pos[bnode] - left_pos
     if min_leaf > 1:
         ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        b, bseg, bnode, left_n, left_pos, right_n, right_pos = (
-            arr[ok] for arr in (b, bseg, bnode, left_n, left_pos, right_n, right_pos)
+        bseg, low, high, bnode, left_n, left_pos, right_n, right_pos = (
+            arr[ok] for arr in (bseg, low, high, bnode, left_n, left_pos, right_n, right_pos)
         )
-    if not len(b):
+    if not len(bseg):
         return split_col, cut, threshold
     purity = (
         (left_pos * left_pos + (left_n - left_pos) ** 2) / left_n
@@ -227,11 +282,13 @@ def _level_splits(
     best = purity == np.repeat(np.maximum.reduceat(purity, first), per_node)
     tie = np.where(best, left_n * k + bseg % k, np.iinfo(np.int64).max)
     chosen = np.flatnonzero(tie == np.repeat(np.minimum.reduceat(tie, first), per_node))
-    at = b[chosen]
     split = bnode[chosen]
     split_col[split] = cols[split, bseg[chosen] % k]
-    cut[split] = s_rank[at]
-    below, above = (X[rows[entry[i]], split_col[split]].astype(np.float64) for i in (at, at + 1))
+    cut[split] = low[chosen]
+    # The distinct values on both sides of the cut; a zero's sign, which
+    # np.unique keeps for only one of 0.0 and -0.0, cannot change the sum
+    # with the other, nonzero value.
+    below, above = (values[offsets[split_col[split]] + side[chosen]].astype(np.float64) for side in (low, high))
     with np.errstate(over="ignore"):
         mid = (below + above) / 2.0
     # Halve first only where the sum overflows, so every other threshold
@@ -240,9 +297,24 @@ def _level_splits(
     return split_col, cut, threshold
 
 
+def _lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
+    """Per row of keys, the k columns a stable argsort puts first (those of
+    the k lowest keys, the lower column winning a tie), in no set order. A
+    partition finds them; a row whose k-th and (k+1)-th lowest keys tie is
+    sorted instead."""
+    part = np.argpartition(keys, (k - 1, k), axis=1)
+    edge = np.take_along_axis(keys, part[:, k - 1:k + 1], axis=1)
+    tied = edge[:, 0] == edge[:, 1]
+    lowest = part[:, :k]
+    if tied.any():
+        lowest[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :k]
+    return lowest
+
+
 def _grow_tree(
-    X: np.ndarray,
     ranks: np.ndarray,
+    values: np.ndarray,
+    offsets: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
     max_depth: int | None,
@@ -252,24 +324,27 @@ def _grow_tree(
 ) -> dict:
     """Grow one tree level by level; returns its node arrays.
 
-    ranks holds the _dense_ranks of X.
+    ranks, values and offsets are _dense_ranks(X).
     The bootstrap sample is drawn first and kept as distinct rows with
     integer weights. Each depth level is handled by one _level_splits call
-    (or a few, see below): the entries (frontier node, candidate column,
-    row) are sorted by rank within each (node, column) segment, and every
-    boundary between distinct values is scored by weighted cumulative
-    counts. A node splits at the boundary of maximum gini purity, sum over
-    both sides of (pos^2 + neg^2) / size; ties go to the smallest left
-    count, then the lowest column. The threshold is the midpoint of the two
-    values at the boundary.
+    (or a few, see below): within each (frontier node, candidate column)
+    segment, every boundary between distinct values is scored by weighted
+    counts of the rows left of it, taken from a histogram of the ranks at
+    levels with few distinct values per entry and from a sort of the
+    entries at the others. A node splits at the boundary of maximum gini
+    purity, sum over both sides of (pos^2 + neg^2) / size; ties go to the
+    smallest left count, then the lowest column. The threshold is the
+    midpoint of the two values at the boundary.
 
     When fewer than all columns are candidates, each splittable node of a
     level gets one random key per column, drawn once per level in level
-    order, and its candidates are the n_features columns of lowest key. A
-    node with no valid boundary among them goes on to the next n_features
-    columns in key order, until one block splits it or the columns run out,
-    so an unlucky draw of constant columns does not end a branch that could
-    still be split.
+    order, and its candidates are the n_features columns of lowest key
+    (the lower column first among equal keys). A node with no valid
+    boundary among them goes on to the next n_features columns in key
+    order, until one block splits it or the columns run out, so an unlucky
+    draw of constant columns does not end a branch that could still be
+    split. Only the nodes that go past the first block have their keys
+    fully sorted.
 
     The nodes are numbered in the order they are grown, level by level:
     the children of the j-th split node are 2j+1 and 2j+2. The tree is
@@ -298,18 +373,25 @@ def _grow_tree(
         rows, weight, pos_weight = rows[keep], weight[keep], pos_weight[keep]
         open_nodes = np.flatnonzero(splittable)
         sizes = sizes[open_nodes]
-        if n_features < total_features:
-            column_order = np.argsort(rng.random((len(open_nodes), total_features)), axis=1, kind="stable")
-        else:
-            column_order = np.broadcast_to(np.arange(total_features), (len(open_nodes), total_features))
+        drawn = n_features < total_features
+        if drawn:
+            keys = rng.random((len(open_nodes), total_features))
 
         split_col = np.full(len(open_nodes), -1, dtype=np.intp)
         cut = np.zeros(len(open_nodes), dtype=ranks.dtype)
         todo = np.arange(len(open_nodes))  # open nodes still without a split
         entries = rows, weight, pos_weight  # the entries of the todo nodes
         for lo in range(0, total_features, n_features):
-            cols = np.sort(column_order[todo, lo:lo + n_features], axis=1)
-            col, at_rank, at_threshold = _level_splits(X, ranks, *entries, sizes[todo], cols, min_leaf)
+            if not drawn:
+                cols = np.broadcast_to(np.arange(total_features), (len(todo), total_features))
+            elif lo == 0:
+                cols = np.sort(_lowest_keys(keys, n_features), axis=1)
+            else:
+                if lo == n_features:
+                    column_order = np.empty(keys.shape, dtype=np.intp)
+                    column_order[todo] = np.argsort(keys[todo], axis=1, kind="stable")
+                cols = np.sort(column_order[todo, lo:lo + n_features], axis=1)
+            col, at_rank, at_threshold = _level_splits(ranks, values, offsets, *entries, sizes[todo], cols, min_leaf)
             found = col >= 0
             split_col[todo[found]] = col[found]
             cut[todo[found]] = at_rank[found]
@@ -391,10 +473,10 @@ def _resolve_feature_count(total: int, requested) -> int:
 
 
 def _grow_one(t: int, data: tuple) -> dict:
-    """Tree t of a forest, from its own generator; data is (X, ranks, y, params, n_features, seed)."""
-    X, ranks, y, params, n_features, seed = data
+    """Tree t of a forest, from its own generator; data is (_dense_ranks(X), y, params, n_features, seed)."""
+    columns, y, params, n_features, seed = data
     rng = np.random.default_rng(derive_seed(seed, "tree", t))
-    return _grow_tree(X, ranks, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
+    return _grow_tree(*columns, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
 
 
 # Worker processes grow a forest only from this many rows x trees on.
@@ -481,7 +563,7 @@ def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict
     its bytes do not depend on which process grows it.
     """
     n_features = _resolve_feature_count(X.shape[1], params["feature_subsample"])
-    data = (X, _dense_ranks(X), y, params, n_features, seed)
+    data = (_dense_ranks(X), y, params, n_features, seed)
     tree_count = params["tree_count"]
     return {"trees": _fork_map(lambda t: _grow_one(t, data), tree_count, _forest_workers(X, tree_count))}
 

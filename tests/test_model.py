@@ -164,11 +164,16 @@ def _golden_fixture_rows():
 
 def _feature_columns(kind):
     """Training rows of one column kind: node IDs from a graph, quarter-step
-    floats, or negative integers."""
+    floats, negative integers, or extreme floats (0.0 beside -0.0, values
+    near the float limit whose midpoints overflow, many repeats)."""
     if kind == "graph":
         X, y = _golden_fixture_rows()
         return X, y.astype(np.int64)
     rng = np.random.default_rng(0)
+    if kind == "extreme":
+        X = rng.choice([-1.5e308, -1e308, -2.5, -0.0, 0.0, 1.5, 1e308, 1.5e308], size=(120, 4))
+        noise = rng.random(120) < 0.15
+        return X, ((X[:, 0] > 1.0) ^ (X[:, 1] < -1e300) ^ noise).astype(np.int64)
     if kind == "float":
         X = rng.integers(-6, 6, size=(120, 4)) / 4.0
     else:
@@ -177,20 +182,34 @@ def _feature_columns(kind):
     return X, y
 
 
+# Bins per entry up to which a level's split search takes the histogram:
+# as chosen by level size, at every level, at no level.
+SPLIT_PATHS = {"chosen": model_module._HISTOGRAM_BINS_PER_ENTRY, "histogram": float("inf"), "sort": 0}
+
+
+def _assert_same_tree(tree, want):
+    for key in want:
+        assert tree[key].dtype == want[key].dtype, key
+        assert tree[key].tobytes() == want[key].tobytes(), key
+
+
 def _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap, seed, tree_count=1, n_features=None):
-    """The level-wise builder against reference_tree, byte for byte; every column is drawn by default."""
+    """The level-wise builder against reference_tree, byte for byte, on each
+    of the SPLIT_PATHS; every column is drawn by default."""
     n_features = X.shape[1] if n_features is None else n_features
     params = {"tree_count": tree_count, "max_depth": max_depth, "min_leaf": min_leaf,
               "feature_subsample": n_features, "bootstrap": bootstrap}
-    for t, tree in enumerate(_train_forest(X, y, params, seed)["trees"]):
-        rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        want = reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap)
-        for key in want:
-            assert tree[key].dtype == want[key].dtype, key
-            assert tree[key].tobytes() == want[key].tobytes(), key
+    want = [reference_tree(X, y, np.random.default_rng(derive_seed(seed, "tree", t)), max_depth, min_leaf,
+                           n_features, bootstrap) for t in range(tree_count)]
+    for path, bins_per_entry in SPLIT_PATHS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_HISTOGRAM_BINS_PER_ENTRY", bins_per_entry)
+            trees = _train_forest(X, y, params, seed)["trees"]
+        for tree, reference in zip(trees, want, strict=True):
+            _assert_same_tree(tree, reference)
 
 
-@pytest.mark.parametrize("columns", ["graph", "float", "negative"])
+@pytest.mark.parametrize("columns", ["graph", "float", "negative", "extreme"])
 @pytest.mark.parametrize("max_depth", [None, 0, 1, 4])
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("bootstrap_seed", [None, 3, 8])
@@ -200,7 +219,7 @@ def test_level_wise_tree_matches_reference_with_every_column(columns, max_depth,
     _assert_matches_reference(X, y, max_depth, min_leaf, bootstrap_seed is not None, seed)
 
 
-@pytest.mark.parametrize("columns", ["graph", "clique", "float", "negative"])
+@pytest.mark.parametrize("columns", ["graph", "clique", "float", "negative", "extreme"])
 @pytest.mark.parametrize("max_depth", [None, 2])
 @pytest.mark.parametrize("min_leaf", [1, 3])
 @pytest.mark.parametrize("n_features", [1, 2, 3])
@@ -210,6 +229,48 @@ def test_level_wise_forest_matches_reference_with_column_draws(columns, max_dept
     else:
         X, y = _feature_columns(columns)
     _assert_matches_reference(X, y, max_depth, min_leaf, True, 5, tree_count=3, n_features=n_features)
+
+
+def test_extreme_columns_split_at_zero_and_at_overflowing_midpoints():
+    """The extreme kind reaches what it is there for: a split between -2.5
+    and a zero (both signs in the column), and one whose midpoint is halved
+    first because the sum overflows."""
+    X, y = _feature_columns("extreme")
+    assert {np.copysign(1.0, v) for v in X[X == 0.0]} == {-1.0, 1.0}
+    thresholds = set()
+    for seed in range(3):
+        tree = _train_forest(X, y, {**model_module.DEFAULT_PARAMS["forest"], "tree_count": 8, "feature_subsample": 4}, seed)
+        thresholds |= {float(v) for t in tree["trees"] for v in t["threshold"][t["feature"] >= 0]}
+    assert -1.25 in thresholds
+    assert 1e308 / 2 + 1.5e308 / 2 in thresholds
+
+
+class _TiedKeys:
+    """A generator whose random() draws are quantized to thirds, so that
+    column keys tie; integers() draws as the generator of the seed does."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        return np.floor(self._rng.random(size) * 3) / 3
+
+
+@pytest.mark.parametrize("columns", ["graph", "negative", "extreme"])
+@pytest.mark.parametrize("n_features", [1, 2, 3])
+@pytest.mark.parametrize("path", sorted(SPLIT_PATHS))
+def test_level_wise_tree_matches_reference_when_column_keys_tie(columns, n_features, path, monkeypatch):
+    """Tied keys take the lower column first, in the first block of a node
+    and in the blocks after it, as reference_tree's stable sort does."""
+    monkeypatch.setattr(model_module, "_HISTOGRAM_BINS_PER_ENTRY", SPLIT_PATHS[path])
+    X, y = _feature_columns(columns)
+    table = model_module._dense_ranks(X)
+    for seed in range(4):
+        tree = model_module._grow_tree(*table, y, _TiedKeys(seed), None, 1, n_features, True)
+        _assert_same_tree(tree, reference_tree(X, y, _TiedKeys(seed), None, 1, n_features, True))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -434,6 +495,29 @@ def test_training_input_validation():
         train([[1], [2]], [0, 1], params={"bogus": 3})
     with pytest.raises(ValueError):
         train([[1], [2]], [0, 1], params={"min_leaf": 0})
+
+
+def test_zero_columns_and_one_row_per_class_train_as_before():
+    """A forest on rows of no columns is one root leaf per tree, and a tree
+    on them raises ValueError; one row of each class splits once, at the
+    midpoint. Scores and model digests are those the previous version gave."""
+    empty = train(np.zeros((4, 0)), [0, 1, 0, 1])
+    assert {len(tree["feature"]) for tree in empty.payload["trees"]} == {1}
+    assert predict_scores(empty, np.zeros((4, 0))).tolist() == [0.72] * 4
+    assert hashlib.sha256(save_model(empty)).hexdigest() == (
+        "46058b282434b404876b4f99fed9ecf3c460c49c3895e0956ce51f165f0e3ad5")
+    with pytest.raises(ValueError):
+        train(np.zeros((4, 0)), [0, 1, 0, 1], kind="tree")
+    two = np.array([[3, 1], [5, 1]])
+    forest = train(two, [0, 1])
+    assert predict_scores(forest, two).tolist() == [0.26, 0.79]
+    assert hashlib.sha256(save_model(forest)).hexdigest() == (
+        "eb08c856d89ef0f8705130d98fe7868e9646dd1b3e857b616781d2f03b1cce01")
+    tree = train(two, [0, 1], kind="tree")
+    assert tree.payload["trees"][0]["threshold"].tolist() == [4.0, 0.0, 0.0]
+    assert predict_scores(tree, two).tolist() == [0.0, 1.0]
+    assert hashlib.sha256(save_model(tree)).hexdigest() == (
+        "97f20d507f6bc17752afe9bc6952d32e9facf0d8b77c54036957a2a524456230")
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", True])
