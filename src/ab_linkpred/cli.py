@@ -16,17 +16,15 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
 from . import __version__
 from .centrality import MEASURES, STRATEGY_KINDS, _ranked, centrality_table
 from .evaluate import (
-    CSV_HEADER,
     SweepCell,
+    SweepResult,
     cell_config,
-    csv_cell_row,
     export_csv,
     fit,
     format_report,
@@ -55,7 +53,7 @@ def _checked(cast, want: str, ok=lambda value: True, *, many: bool = False):
     """An argparse type= converter: cast the text (each item of a
     comma-separated list when many) and check every value with ok. A bad
     value is a usage error raised while parsing, before any file is read.
-    argparse also converts a string default, such as an environment value."""
+    argparse also converts a string default."""
 
     def convert(text: str):
         parts = [part.strip() for part in text.split(",") if part.strip()] if many else [text]
@@ -204,7 +202,7 @@ def _cmd_eval(args) -> int:
     runs = [("balanced", args.balance)]
     if not args.skip_unbalanced:
         runs.append(("unbalanced", None))
-    csv_rows = []
+    cells = []
     for name, ratio in runs:
         start = time.perf_counter()
         report = run_experiment(
@@ -221,11 +219,9 @@ def _cmd_eval(args) -> int:
         print(format_report(report))
         print()
         if name == "balanced":
-            csv_rows.append(csv_cell_row(SweepCell(args.a, args.b, args.strategy, args.seed, report, wall_ms)))
+            cells.append(SweepCell(args.a, args.b, args.strategy, args.seed, report, wall_ms))
     if args.csv:
-        print(",".join(CSV_HEADER))
-        for row in csv_rows:
-            print(",".join(row))
+        export_csv(SweepResult(cells), sys.stdout)
     return 0
 
 
@@ -305,9 +301,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-balance", action="store_true", help="keep every candidate pair")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--heatmap", default=None, help="also render an SVG F1 heatmap")
-    threads = _checked(int, "an integer >= 1 (--threads or AB_LINKPRED_THREADS)", lambda n: n >= 1)
-    p.add_argument("--threads", type=threads, default=os.environ.get("AB_LINKPRED_THREADS", "1"),
-                   help="accepted for compatibility, no effect; cap CPUs with the process's affinity")
+    p.add_argument("--threads", type=_AT_LEAST_1, default=1,
+                   help="accepted for compatibility, to no effect; cap CPUs with the process's CPU affinity")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("train", help="train a model and save it as JSON")

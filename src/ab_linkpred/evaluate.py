@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from ._seeds import derive_seed
+from ._seeds import as_int, derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, table_for
 from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, config_to_dict, split
@@ -198,6 +198,7 @@ def sweep(
     place, and the sweep continues. Centrality tables are computed once per
     measure and shared. threads is accepted for compatibility, to no effect.
     """
+    a_max, b_max = as_int(a_max, "a_max"), as_int(b_max, "b_max")
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
     if b_max < 0:
@@ -233,17 +234,6 @@ def sweep(
 CSV_HEADER = ["a", "b", "strategy", "seed", "precision", "recall", "f1", "tp", "fp", "fn", "tn", "wall_ms"]
 
 
-def csv_cell_row(cell: SweepCell) -> list[str]:
-    base = [str(cell.a), str(cell.b), cell.strategy, str(cell.seed)]
-    if cell.report is None:
-        body = [""] * 7
-    else:
-        r = cell.report
-        c = r.counts
-        body = [repr(r.precision), repr(r.recall), repr(r.f1), str(c.tp), str(c.fp), str(c.fn), str(c.tn)]
-    return base + body + [f"{cell.wall_ms:.3f}"]
-
-
 def export_csv(result: SweepResult, sink) -> None:
     """Fixed-column CSV, one row per cell; failed cells keep their slot with
     empty metric fields so the grid stays complete."""
@@ -253,7 +243,13 @@ def export_csv(result: SweepResult, sink) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for cell in result.cells:
-            writer.writerow(csv_cell_row(cell))
+            r = cell.report
+            if r is None:
+                body = [""] * 7
+            else:
+                c = r.counts
+                body = [repr(r.precision), repr(r.recall), repr(r.f1), c.tp, c.fp, c.fn, c.tn]
+            writer.writerow([cell.a, cell.b, cell.strategy, cell.seed, *body, f"{cell.wall_ms:.3f}"])
 
 
 def _ramp(t: float) -> str:

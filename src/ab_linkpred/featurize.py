@@ -316,9 +316,8 @@ def split(d: Dataset, test_fraction: float, seed: int) -> Split:
         k = max(1, min(k, len(cls_idx) - 1))
         rng.shuffle(cls_idx)
         test_idx.extend(cls_idx[:k])
-    test_set = set(test_idx)
     test = np.array(sorted(test_idx), dtype=np.int64)
-    train = np.array([i for i in range(len(d.y)) if i not in test_set], dtype=np.int64)
+    train = np.setdiff1d(np.arange(len(d.y), dtype=np.int64), test)
     return Split(
         Xtrain=d.X[train],
         ytrain=d.y[train],

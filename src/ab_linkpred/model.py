@@ -97,11 +97,11 @@ def _as_labels(y, rows: int) -> np.ndarray:
 def _merged_params(kind: str, params: dict | None) -> dict:
     """The kind's default hyperparameters updated with params, checked.
 
-    Count hyperparameters must be ints (None where nullable), bootstrap a
-    bool, and learning_rate > 0 and l2 >= 0 ints or floats within the float
-    range (a bool is neither); a numpy float is kept as a Python float, so
-    the model serializes. Else ValueError. train and load_model share this
-    check.
+    Count hyperparameters must be integers (see as_int; None where nullable),
+    bootstrap a bool, and learning_rate > 0 and l2 >= 0 ints or floats
+    within the float range (a bool is neither); numpy numbers are kept as
+    Python ints and floats, so the model serializes. Else ValueError. train
+    and load_model share this check.
     """
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown classifier kind {kind!r}, expected one of {tuple(DEFAULT_PARAMS)}")
@@ -110,10 +110,9 @@ def _merged_params(kind: str, params: dict | None) -> dict:
         if key not in merged:
             raise ValueError(f"unknown {kind} hyperparameter {key!r}")
         merged[key] = value
-    nullable = ("max_depth", "feature_subsample")
     for key in ("tree_count", "min_leaf", "feature_subsample", "max_depth", "epochs"):
-        if key in merged and not (type(merged[key]) is int or key in nullable and merged[key] is None):
-            raise ValueError(f"{key} must be an integer{' or None' if key in nullable else ''}, got {merged[key]!r}")
+        if key in merged and not (key in ("max_depth", "feature_subsample") and merged[key] is None):
+            merged[key] = as_int(merged[key], key)
     if kind in ("forest", "tree"):
         if merged["min_leaf"] < 1:
             raise ValueError(f"min_leaf must be >= 1, got {merged['min_leaf']}")
@@ -165,7 +164,7 @@ def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         column_values, ranks[:, col] = np.unique(X[:, col], return_inverse=True)
         distinct.append(column_values)
     offsets = np.cumsum([0] + [len(column_values) for column_values in distinct])
-    return ranks, np.concatenate([np.empty(0, dtype=X.dtype), *distinct]), offsets
+    return ranks, np.concatenate(distinct), offsets
 
 
 # A level's split search counts its entries into one histogram bin per
@@ -466,7 +465,7 @@ def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray
 
 def _resolve_feature_count(total: int, requested) -> int:
     if requested is None:
-        return max(1, min(total, round(math.sqrt(total))))
+        return round(math.sqrt(total))
     if not 1 <= requested <= total:
         raise ValueError(f"feature_subsample must be in 1..{total}, got {requested}")
     return requested
@@ -613,22 +612,24 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, params: dict, seed: int):
 def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42) -> Classifier:
     """Fit a classifier; deterministic given (data, kind, params, seed).
 
-    Feature values must be finite numbers, labels exactly 0 or 1, the seed
-    an integer (kept as an int), count hyperparameters (tree_count,
-    min_leaf, feature_subsample, max_depth, epochs) ints, where None is
-    allowed only for feature_subsample and max_depth, bootstrap a bool
-    (which is no integer), and learning_rate > 0 and l2 >= 0 finite ints or
-    floats that are not bools (a numpy float is kept as a Python float); else
-    ValueError. A logistic fit that diverges to weights or a bias that are
-    not finite raises ValueError too, so every returned model saves and
-    loads. Large forests are grown in worker processes (see
-    _forest_workers); a worker that dies raises ChildProcessError and a
-    failed fork its OSError.
+    Rows must have at least one column, feature values be finite numbers,
+    labels exactly 0 or 1, the seed and the count hyperparameters
+    (tree_count, min_leaf, feature_subsample, max_depth, epochs) integers
+    (kept as ints; None is allowed only for feature_subsample and
+    max_depth), bootstrap a bool (which is no integer), and learning_rate
+    > 0 and l2 >= 0 finite ints or floats that are not bools (a numpy
+    float is kept as a Python float); else ValueError. A logistic fit that
+    diverges to weights or a bias that are not finite raises ValueError
+    too, so every returned model saves and loads. Large forests are grown
+    in worker processes (see _forest_workers); a worker that dies raises
+    ChildProcessError and a failed fork its OSError.
     """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])
     if matrix.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
+    if matrix.shape[1] == 0:
+        raise ValueError("cannot train on rows with no columns")
     if labels.min() == labels.max():
         raise ValueError("training data holds a single class, need both labels")
     seed = as_int(seed, "seed")

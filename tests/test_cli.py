@@ -12,6 +12,7 @@ import ab_linkpred
 
 from ab_linkpred import FeatureConfig, Strategy, balanced_dataset, load_model, save_model, split, train
 from ab_linkpred.cli import main
+from ab_linkpred.evaluate import export_csv
 from ab_linkpred.featurize import config_to_dict
 
 from graphgen import community_edges, edge_text, gnm_edges, two_cliques_edges
@@ -248,14 +249,21 @@ def test_sweep_names_the_error_type_of_a_failed_cell(gnm_file, tmp_path, capsys,
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_sweep_threads_env_fallback(clique_file, tmp_path, monkeypatch):
-    out = tmp_path / "env.csv"
-    monkeypatch.setenv("AB_LINKPRED_THREADS", "2")
-    assert main(["sweep", str(clique_file), "--a-max", "1", "--b-max", "0", "--strategy",
-                 "degree", "--seeds", "1", "--out", str(out)]) == 0
-    monkeypatch.setenv("AB_LINKPRED_THREADS", "zero")
-    assert main(["sweep", str(clique_file), "--a-max", "1", "--b-max", "0", "--strategy",
-                 "degree", "--seeds", "1", "--out", str(out)]) == 1
+def test_eval_csv_row_is_the_sweep_csv_row_of_the_same_cell(clique_file, tmp_path, capsys, monkeypatch):
+    """eval --csv writes its row with export_csv, the writer of sweep's CSV."""
+    written = []
+    monkeypatch.setattr("ab_linkpred.cli.export_csv",
+                        lambda result, sink: written.append(result) or export_csv(result, sink))
+    assert main(["eval", str(clique_file), "--a", "2", "--b", "1", "--seed", "5", "--skip-unbalanced", "--csv"]) == 0
+    assert [(c.a, c.b, c.strategy, c.seed) for c in written[0].cells] == [(2, 1, "degree", 5)]
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    out = tmp_path / "r.csv"
+    assert main(["sweep", str(clique_file), "--a-max", "2", "--b-max", "1", "--strategy", "degree",
+                 "--seeds", "5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert header == lines[0]
+    swept = [line for line in lines[1:] if line.startswith("2,1,degree,5,")]
+    assert [line.rsplit(",", 1)[0] for line in swept] == [row.rsplit(",", 1)[0]]
 
 
 def test_sweep_heatmap_output(clique_file, tmp_path):
@@ -319,15 +327,6 @@ def test_bad_flag_value_exits_1_before_reading_or_writing(bad_flag_inputs, tmp_p
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-def test_threads_env_error_names_the_variable(clique_file, tmp_path, monkeypatch, capsys):
-    base = ["sweep", str(clique_file), "--a-max", "1", "--b-max", "0", "--strategy", "degree", "--seeds", "1",
-            "--out", str(tmp_path / "r.csv")]
-    monkeypatch.setenv("AB_LINKPRED_THREADS", "zero")
-    assert main(base) == 1
-    assert "AB_LINKPRED_THREADS" in capsys.readouterr().err
-    assert main(base + ["--threads", "1"]) == 0  # an explicit flag wins over the variable
 
 
 def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dying_forest_workers):

@@ -186,6 +186,14 @@ def test_a_large_forest_in_a_sweep_grows_in_worker_processes(monkeypatch, pools)
     assert serial.error is None and forked.report == serial.report
 
 
+@pytest.mark.parametrize("a_max,b_max", [(2.0, 0), (True, 0), (1, 0.0), (1, False), ("1", 0)],
+                         ids=["float_a_max", "bool_a_max", "float_b_max", "bool_b_max", "str_a_max"])
+def test_sweep_grid_bounds_must_be_integers(a_max, b_max):
+    g = graph_from_edges(gnm_edges(20, 40, seed=1))
+    with pytest.raises(ValueError, match="_max must be an integer"):
+        sweep(g, a_max, b_max, ["degree"], [1])
+
+
 def test_sweep_records_cell_failures_and_continues():
     # a single-edge graph has one positive row: splitting needs two per
     # class, so the cell fails but the sweep still yields its full grid

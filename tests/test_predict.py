@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ab_linkpred import (
@@ -55,6 +56,13 @@ def test_config_validation():
         CompletionConfig(epsilon=0.5, mode="iterative", max_steps=-1)
     with pytest.raises(ValueError, match="iterative mode only"):
         CompletionConfig(epsilon=0.0, mode="noniterative", max_steps=0)
+
+
+def test_max_steps_must_be_an_integer_and_a_numpy_integer_is_kept_as_an_int():
+    for bad in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            CompletionConfig(epsilon=0.5, mode="iterative", max_steps=bad)
+    assert type(CompletionConfig(epsilon=0.5, mode="iterative", max_steps=np.int64(2)).max_steps) is int
 
 
 def test_mode_mismatch_and_length_mismatch(clique_setup):
