@@ -16,7 +16,9 @@ models serialize to plain JSON:
   one-shot forked worker processes, one per usable CPU and each growing
   every k-th tree, with the same bytes as a serial run (see _fork_map).
   Scoring walks each tree, in this process, over the rows still
-  unfinished, one gather per level.
+  unfinished: a state 2 * node per row, leaves that loop to themselves so
+  finished rows are looked for only every few levels, and the features as
+  int16 when every value fits.
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -432,34 +434,68 @@ def _level_order_arrays(levels: list) -> dict:
     return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
 
 
-def _tree_leaf_values(tree: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positive fraction at the leaf reached by each row X[rows], for the
-    row indices rows (read in place, not copied when X is C-contiguous).
+def _narrows_to_int16(X: np.ndarray) -> bool:
+    """Whether X holds integers in -2**15 < x < 2**15. The lower bound is
+    strict so that no value meets a threshold clipped to -2**15."""
+    return X.dtype.kind in "iu" and (X.size == 0 or (X.min() > -2**15 and X.max() < 2**15))
+
+
+def _tree_walk(tree: dict, narrow: bool) -> dict:
+    """The arrays _tree_leaf_values walks one tree with, indexed by the state
+    s = 2 * node: feature, threshold, leaf and value repeated twice, and
+    child the interleaved (left, right) pairs times 2. A leaf reads column 0
+    and both its children are itself, so a row stays at its leaf whatever
+    it reads. With narrow the thresholds are int16 floor(threshold) clipped
+    to the int16 range, for rows cast by _narrows_to_int16: for an integer
+    x and a real t, x > t exactly when x > floor(t).
+    """
+    leaf = tree["feature"] < 0
+    node = np.arange(len(leaf))
+    threshold = tree["threshold"]
+    if narrow:
+        threshold = np.clip(np.floor(threshold), -2**15, 2**15 - 1).astype(np.int16)
+    pairs = np.where(leaf[:, None], node[:, None], np.stack([tree["left"], tree["right"]], axis=1))
+    return {
+        "feature": np.repeat(np.where(leaf, 0, tree["feature"]).astype(np.intp), 2),
+        "threshold": np.repeat(threshold, 2),
+        "child": 2 * pairs.ravel().astype(np.intp),
+        "leaf": np.repeat(leaf, 2),
+        "value": np.repeat(tree["value"], 2),
+    }
+
+
+# _tree_leaf_values moves its rows this many levels between looks for
+# finished rows; rows at a leaf meanwhile stay there.
+_LEAF_CHECK_LEVELS = 3
+
+
+def _tree_leaf_values(walk: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positive fraction at the leaf reached by each row X[rows] in the tree
+    of walk (_tree_walk), for the row indices rows (read in place: X is
+    C-contiguous, of the dtype the walk's thresholds were made for).
 
     Only the unfinished rows are walked: their positions in rows, their
-    offsets into the flat matrix and their current nodes. A row goes right
-    where its value exceeds the node's threshold, by one gather from the
-    children stored in pairs (left, right), so any numbering whose child
-    pointers move forward is walked alike. Rows that reach a leaf take its
-    value and leave the three arrays. Indices are intp and gathers use
-    take, numpy's fastest gather for them.
+    offsets into the flat matrix and their states. One level is one gather
+    of each row's value at offset + feature and one gather of the child
+    pair, child[s + (value > threshold)], so any numbering whose child
+    pointers move forward is walked alike. Every _LEAF_CHECK_LEVELS levels
+    the rows at a leaf take its value and leave the three arrays. Indices
+    are intp and gathers use take, numpy's fastest gather for them.
     """
-    feature = tree["feature"].astype(np.intp)
-    threshold = tree["threshold"]
-    child = np.stack([tree["left"], tree["right"]], axis=1).ravel().astype(np.intp)
+    feature, threshold, child = walk["feature"], walk["threshold"], walk["child"]
     flat = X.ravel()
     out = np.empty(len(rows))
     at = np.arange(len(rows))
     offset = rows * X.shape[1]
-    node = np.zeros(len(rows), dtype=np.intp)
+    s = np.zeros(len(rows), dtype=np.intp)
     while len(at):
-        col = feature.take(node)
-        leaf = col < 0
-        if leaf.any():
-            out[at[leaf]] = tree["value"].take(node[leaf])
-            going = ~leaf
-            at, offset, node, col = at[going], offset[going], node[going], col[going]
-        node = child.take(2 * node + (flat.take(offset + col) > threshold.take(node)))
+        for _ in range(_LEAF_CHECK_LEVELS):
+            s = child.take(s + (flat.take(offset + feature.take(s)) > threshold.take(s)))
+        done = walk["leaf"].take(s)
+        if done.any():
+            out[at[done]] = walk["value"].take(s[done])
+            going = ~done
+            at, offset, s = at[going], offset[going], s[going]
     return out
 
 
@@ -506,9 +542,10 @@ def _fork_map(fn, count: int, workers: int) -> list:
 
     Worker w computes the indices i = w (mod workers) on inputs inherited
     through fork, sends its list once over a pipe and exits, so the result
-    does not depend on the worker count; one worker runs in this process. A
-    worker that dies raises ChildProcessError. Whatever ends the call (an
-    error, a failed fork, Ctrl-C), the processes it started are stopped.
+    does not depend on the worker count; this process only collects the
+    lists. workers == 1 computes them here, without a fork. A worker that
+    dies raises ChildProcessError. Whatever ends the call (an error, a
+    failed fork, Ctrl-C), the processes it started are stopped.
     """
     if workers == 1:
         return [fn(i) for i in range(count)]
@@ -668,16 +705,19 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     every row of the tree and logistic kinds, gets its full score, so
     `scores >= floor` is the same mask whatever the floor.
     """
-    matrix = np.ascontiguousarray(_as_matrix(X))  # the walk reads its rows in place
+    matrix = _as_matrix(X)
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
     if not 0.0 <= floor <= 1.0:
         raise ValueError(f"floor must be in [0, 1], got {floor}")
     if c.kind == "logistic":
         return _sigmoid(matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"])
+    # The walk reads its rows in place, as int16 when every value fits.
+    narrow = _narrows_to_int16(matrix)
+    matrix = np.ascontiguousarray(matrix, dtype=np.int16 if narrow else None)
     trees = c.payload["trees"]
     if c.kind == "tree":
-        return _tree_leaf_values(trees[0], matrix, np.arange(len(matrix)))
+        return _tree_leaf_values(_tree_walk(trees[0], narrow), matrix, np.arange(len(matrix)))
     total = len(trees)
     # The fewest votes whose score reaches floor, by the final score's own
     # division; a row short of them with the trees left cannot reach floor.
@@ -685,7 +725,7 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     votes = np.zeros(matrix.shape[0], dtype=np.int64)
     rows = np.arange(matrix.shape[0])  # the rows that can still reach floor
     for t, tree in enumerate(trees, 1):
-        votes[rows] += _tree_leaf_values(tree, matrix, rows) >= 0.5
+        votes[rows] += _tree_leaf_values(_tree_walk(tree, narrow), matrix, rows) >= 0.5
         if total - t < need:
             rows = rows[votes[rows] + (total - t) >= need]
     return votes / total
@@ -736,10 +776,11 @@ def _payload_from_jsonable(kind: str, doc: dict) -> dict:
 def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
     """Raise ModelFormatError unless the payload can be scored safely.
 
-    A node splits exactly when its feature is >= 0, as _tree_leaf_values
-    reads it. Split nodes need a readable column and both children at
-    higher indices, so every walk moves forward and ends at a leaf; leaves
-    have no children.
+    A node splits exactly when its feature is >= 0, as _tree_walk reads
+    it. Split nodes need a readable column and both children at higher
+    indices, so every walk moves forward and ends at a leaf, where
+    _tree_walk's self-loops hold it; leaves have no children, and
+    feature_length >= 1 gives them column 0 to read.
     """
 
     def bad(message: str):

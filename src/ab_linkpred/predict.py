@@ -10,13 +10,15 @@ A step scores its non-edges with predict_scores(..., floor=epsilon): a
 forest stops voting on a pair as soon as its score can no longer reach
 epsilon, so a step walks far fewer trees than full scoring, while every
 added edge and its recorded score are exactly those of full scoring. Each
-tree moves only the pairs that have not reached a leaf down a level, in
-this process. The trace records each pass's scored non-edges and added
-edges as its steps.
+tree is walked in this process over the pairs still unfinished, a few
+levels between looks for pairs at a leaf, with the features as int16 when
+they fit (see model._tree_leaf_values). The trace records each pass's
+scored non-edges, added edges and seconds as its steps.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ._seeds import as_int
@@ -61,8 +63,10 @@ class CompletionTrace:
 
     States grow monotonically: every batch edge was absent from all earlier
     states and scored at least epsilon against the state it was added to.
-    steps has one {"non_edges": scored, "added": n} per scoring pass, with
-    an iterative run's last pass, which adds nothing and has no batch.
+    steps has one {"non_edges": scored, "added": n, "seconds": s} per
+    scoring pass, with the pass's featurize and scoring time in seconds,
+    including an iterative run's last pass, which adds nothing and has no
+    batch.
     """
 
     batches: list[list[tuple[int, int, float]]]
@@ -118,8 +122,9 @@ def complete(
     steps: list[dict] = []
     limit = 1 if cfg.mode == "noniterative" else cfg.max_steps
     while limit is None or len(batches) < limit:
+        start = time.perf_counter()
         batch, scored = _step(work, model, feat, cfg.epsilon)
-        steps.append({"non_edges": scored, "added": len(batch)})
+        steps.append({"non_edges": scored, "added": len(batch), "seconds": time.perf_counter() - start})
         if not batch and cfg.mode == "iterative":
             break
         for u, v, _ in batch:

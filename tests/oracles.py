@@ -280,16 +280,21 @@ def reference_tree(X, y, rng, max_depth, min_leaf, n_features, bootstrap):
     return _tree_arrays({"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value})
 
 
-def reference_forest_votes(c, X):
-    """Per tree and row, 1 where the row's leaf votes positive (value >= 0.5):
-    each row walked alone, node by node, through every tree of the forest."""
+def reference_leaf_values(c, X):
+    """Per tree and row, the value of the leaf the row reaches: each row
+    walked alone, node by node, through every tree of the forest."""
     trees = [{key: tree[key].tolist() for key in tree} for tree in c.payload["trees"]]
-    votes = np.zeros((len(trees), len(X)), dtype=np.int64)
+    values = np.zeros((len(trees), len(X)))
     for t, tree in enumerate(trees):
         for i, row in enumerate(np.asarray(X).tolist()):
             node = 0
             while tree["feature"][node] >= 0:
                 go_left = row[tree["feature"][node]] <= tree["threshold"][node]
                 node = tree["left"][node] if go_left else tree["right"][node]
-            votes[t, i] = tree["value"][node] >= 0.5
-    return votes
+            values[t, i] = tree["value"][node]
+    return values
+
+
+def reference_forest_votes(c, X):
+    """Per tree and row, 1 where the row's leaf votes positive (value >= 0.5)."""
+    return (reference_leaf_values(c, X) >= 0.5).astype(np.int64)

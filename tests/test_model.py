@@ -37,7 +37,7 @@ from ab_linkpred._seeds import derive_seed
 from ab_linkpred.model import _train_forest
 
 from graphgen import community_edges, graph_from_edges, two_cliques_edges
-from oracles import reference_forest_votes, reference_tree
+from oracles import reference_forest_votes, reference_leaf_values, reference_tree
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +419,77 @@ def test_floor_is_exact_on_random_forests(data, rows, cols, trees, seed):
     probe = np.vstack([X, np.random.default_rng(seed).integers(-4, 5, size=(30, cols))])
     floor = data.draw(st.one_of(st.integers(0, trees).map(lambda k: k / trees), st.floats(0.0, 1.0)))
     _assert_floor_is_exact(clf, reference_forest_votes(clf, probe), probe, floor)
+
+
+def _pool_rows(pools, rows, seed):
+    """rows x 3 integers drawn from the pools (inclusive ranges), labelled by
+    whether the first column exceeds the second, with a fifth of the labels
+    flipped, so splits fall between neighbouring integers all over the pools."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.arange(lo, hi + 1) for lo, hi in pools])
+    X = rng.choice(values, size=(rows, 3))
+    y = (X[:, 0] > X[:, 1]) ^ (rng.random(rows) < 0.2)
+    return X, y.astype(np.int64)
+
+
+def _assert_scores_match_reference(forest, tree, X):
+    """The forest's scores at floors 0, 0.5 and 0.9 and the tree's leaf
+    values are those of the row-by-row reference walk. A walk that never
+    ends fails within 30 s instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("scoring a few hundred rows took more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        votes = reference_forest_votes(forest, X)
+        assert predict_scores(forest, X).tobytes() == (votes.sum(axis=0) / len(votes)).tobytes()
+        for floor in (0.5, 0.9):
+            _assert_floor_is_exact(forest, votes, X, floor)
+        for floor in (0.0, 0.5, 0.9):
+            assert predict_scores(tree, X, floor=floor).tobytes() == reference_leaf_values(tree, X)[0].tobytes()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _forest_and_tree(X, y):
+    return train(X, y, params={"tree_count": 15}, seed=7), train(X, y, kind="tree", seed=7)
+
+
+def test_walk_matches_reference_on_values_at_the_int16_limits():
+    """Values reaching -32767 and 32767 are walked as int16 against floored
+    thresholds; a matrix holding -32768 or 32768 is walked as it is, so no
+    value meets a threshold clipped to -32768."""
+    X, y = _pool_rows([(-32767, -32737), (-15, 15), (32737, 32767)], 400, seed=1)
+    forest, tree = _forest_and_tree(X, y)
+    probe = np.vstack([X, np.full((1, 3), -32767), np.full((1, 3), 32767)])
+    assert model_module._narrows_to_int16(probe)
+    for form in (probe, probe.astype(np.int32), probe.astype(np.float64)):
+        _assert_scores_match_reference(forest, tree, form)
+
+    X, y = _pool_rows([(-32772, -32742), (-15, 15), (32742, 32772)], 400, seed=2)
+    forest, tree = _forest_and_tree(X, y)
+    for probe in (np.clip(X, -2**15, 2**15 - 1), np.clip(X, -2**15 + 1, 2**15), X):
+        assert not model_module._narrows_to_int16(probe)
+        _assert_scores_match_reference(forest, tree, probe)
+
+
+def test_walk_matches_reference_on_small_ints_of_every_dtype_and_layout():
+    """A forest with thresholds beyond the int16 range scores small integers
+    alike whatever their dtype, memory order or strides."""
+    X, y = _pool_rows([(-100_000, -99_970), (0, 120), (99_970, 100_000)], 400, seed=3)
+    forest, tree = _forest_and_tree(X, y)
+    thresholds = np.concatenate([t["threshold"][t["feature"] >= 0] for t in forest.payload["trees"]])
+    assert thresholds.min() < -2**15 and thresholds.max() > 2**15
+    probe, _ = _pool_rows([(0, 120)], 200, seed=4)
+    forms = [probe.astype(dtype) for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint16, np.float32, bool)]
+    strided = np.repeat(np.repeat(probe, 2, axis=0), 2, axis=1)[::2, ::2]
+    assert np.array_equal(strided, probe) and not strided.flags.c_contiguous
+    forms += [np.asfortranarray(probe), strided]
+    for form in forms:
+        _assert_scores_match_reference(forest, tree, form)
 
 
 # sha256 of save_model() for models trained on a fixed fixture with fixed

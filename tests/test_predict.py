@@ -217,7 +217,7 @@ def test_trace_steps_count_every_scoring_pass(cli_clique_model, epsilon, mode, c
     g, model = cli_clique_model
     trace = complete(g, model, CompletionConfig(epsilon, mode, cap))
     assert [(step["non_edges"], step["added"]) for step in trace.steps] == steps
-    assert all(set(step) == {"non_edges", "added"} for step in trace.steps)
+    assert all(set(step) == {"non_edges", "added", "seconds"} and step["seconds"] >= 0 for step in trace.steps)
     # Batches are the passes that add edges (every pass when noniterative).
     assert [len(batch) for batch in trace.batches] == [n for _, n in steps if n or mode == "noniterative"]
 
