@@ -1,5 +1,6 @@
-"""Deterministic seed derivation shared by all randomized stages, and the
-integer check that seeds and feature settings share."""
+"""Deterministic seed derivation shared by all randomized stages, the
+integer check that seeds and feature settings share, and the unit-interval
+check that score thresholds share."""
 
 import hashlib
 import numbers
@@ -23,3 +24,11 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_unit(value, name: str) -> float:
+    """value as a Python float (a numpy float is kept as one); ValueError
+    unless it is a number in [0, 1], which a bool, a string and NaN are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    return float(value)

@@ -85,10 +85,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _fit_options(args) -> dict:
+    """evaluate.fit's keyword options from the flags that sweep, train and eval share."""
+    return {
+        "classifier": args.classifier,
+        "balance_ratio": None if args.no_balance else args.balance,
+        "test_fraction": args.test_fraction,
+    }
+
+
 def _pipeline_params(args) -> dict:
     """Manifest entries of the flags that sweep and train share."""
     return {
-        "balance": None if args.no_balance else args.balance,
+        "balance": _fit_options(args)["balance_ratio"],
         "test_fraction": args.test_fraction,
         "threshold": args.threshold,
         "classifier": args.classifier,
@@ -144,12 +153,10 @@ def _cmd_sweep(args) -> int:
         args.b_max,
         args.strategy,
         args.seeds,
-        classifier=args.classifier,
-        balance_ratio=None if args.no_balance else args.balance,
-        test_fraction=args.test_fraction,
         threshold=args.threshold,
         mask_pair_edge=args.mask_pair_edge,
         threads=args.threads,
+        **_fit_options(args),
     )
     export_csv(result, args.out)
     wall = time.perf_counter() - start
@@ -181,9 +188,7 @@ def _cmd_train(args) -> int:
     clf, parts = fit(
         g,
         cell_config(args.a, args.b, args.strategy, args.seed, args.mask_pair_edge),
-        classifier=args.classifier,
-        balance_ratio=None if args.no_balance else args.balance,
-        test_fraction=args.test_fraction,
+        **_fit_options(args),
     )
     save_model(clf, args.out)
     wall = time.perf_counter() - start
@@ -199,20 +204,14 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = cell_config(args.a, args.b, args.strategy, args.seed, args.mask_pair_edge)
     g = load_edge_list(args.graph)
-    runs = [("balanced", args.balance)]
+    options = _fit_options(args)
+    runs = [("balanced", options.pop("balance_ratio"))]
     if not args.skip_unbalanced:
         runs.append(("unbalanced", None))
     cells = []
     for name, ratio in runs:
         start = time.perf_counter()
-        report = run_experiment(
-            g,
-            config,
-            classifier=args.classifier,
-            balance_ratio=ratio,
-            test_fraction=args.test_fraction,
-            threshold=args.threshold,
-        )
+        report = run_experiment(g, config, threshold=args.threshold, balance_ratio=ratio, **options)
         wall_ms = (time.perf_counter() - start) * 1000.0
         ratio_text = f"negative ratio {ratio}" if ratio is not None else "all candidate pairs"
         print(f"{name} test metrics ({ratio_text}):")
@@ -317,7 +316,7 @@ def _build_parser() -> _Parser:
     _add_common_pipeline_flags(p, single_strategy=True)
     p.add_argument("--skip-unbalanced", action="store_true", help="only report the balanced run")
     p.add_argument("--csv", action="store_true", help="also print the balanced run as a CSV row")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, no_balance=False)  # no flag: its second run is the unbalanced one
 
     p = sub.add_parser("complete", help="add high-scoring edges to a graph")
     p.add_argument("graph")

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from inspect import signature
 from itertools import product
 
 import numpy as np
 
-from ._seeds import as_int, derive_seed
+from ._seeds import as_int, as_unit, derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, table_for
 from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, config_to_dict, split
@@ -117,6 +118,7 @@ def fit(
     Balancing happens before feature extraction (the kept-row choice only
     needs labels), which is output-identical to extracting everything first
     and then subsampling. The model carries config as its featurize_config.
+    These are the pipeline's options; run_experiment and sweep pass theirs on.
     """
     if balance_ratio is None:
         data = build_dataset(g, config, table=table)
@@ -134,27 +136,11 @@ def fit(
     return clf, parts
 
 
-def run_experiment(
-    g: Graph,
-    config: FeatureConfig,
-    *,
-    classifier: str = "forest",
-    classifier_params: dict | None = None,
-    balance_ratio: float | None = 1.0,
-    test_fraction: float = 0.25,
-    threshold: float = 0.5,
-    table: CentralityTable | None = None,
-) -> MetricsReport:
-    """One full pipeline run: fit, then score and count the test rows."""
-    clf, parts = fit(
-        g,
-        config,
-        classifier=classifier,
-        classifier_params=classifier_params,
-        balance_ratio=balance_ratio,
-        test_fraction=test_fraction,
-        table=table,
-    )
+def run_experiment(g: Graph, config: FeatureConfig, *, threshold: float = 0.5, **fit_options) -> MetricsReport:
+    """One full pipeline run: fit with fit_options (fit's keyword options),
+    then score and count the test rows. threshold is checked before training."""
+    threshold = as_unit(threshold, "threshold")
+    clf, parts = fit(g, config, **fit_options)
     return score_rows(clf, parts.Xtest, parts.ytest, threshold)
 
 
@@ -183,21 +169,26 @@ def sweep(
     strategies,
     seeds,
     *,
-    classifier: str = "forest",
-    classifier_params: dict | None = None,
-    balance_ratio: float | None = 1.0,
-    test_fraction: float = 0.25,
     threshold: float = 0.5,
     mask_pair_edge: bool = False,
     threads: int = 1,
+    **fit_options,
 ) -> SweepResult:
     """Run every cell of the grid a in 1..a_max, b in 0..b_max, one after
     another in the calling thread, in canonical (a, b, strategy, seed) order.
 
-    A cell that fails records "ExceptionType: message" as its error, in
-    place, and the sweep continues. Centrality tables are computed once per
-    measure and shared. threads is accepted for compatibility, to no effect.
+    Every cell runs run_experiment with fit_options, fit's keyword options
+    except table. Those and threshold are checked before the first cell, so
+    an unknown option is a TypeError and a bad threshold a ValueError at the
+    call. A cell that fails records "ExceptionType: message" as its error,
+    in place, and the sweep continues. Centrality tables are computed once
+    per measure and shared. threads is accepted for compatibility, to no
+    effect.
     """
+    threshold = as_unit(threshold, "threshold")
+    unknown = fit_options.keys() - (signature(fit).parameters.keys() - {"g", "config", "table"})
+    if unknown:
+        raise TypeError(f"sweep() got unexpected keyword arguments {sorted(unknown)}")
     a_max, b_max = as_int(a_max, "a_max"), as_int(b_max, "b_max")
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
@@ -212,16 +203,7 @@ def sweep(
         config = cell_config(a, b, kind, seed, mask_pair_edge)
         start = time.perf_counter()
         try:
-            report = run_experiment(
-                g,
-                config,
-                classifier=classifier,
-                classifier_params=classifier_params,
-                balance_ratio=balance_ratio,
-                test_fraction=test_fraction,
-                threshold=threshold,
-                table=tables.get(kind),
-            )
+            report = run_experiment(g, config, threshold=threshold, table=tables.get(kind), **fit_options)
             error = None
         except Exception as err:  # cell isolation: any stage failure is recorded
             report = None

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import as_int, derive_seed
+from ._seeds import as_int, as_unit, derive_seed
 from ._streams import open_stream
 from .featurize import config_from_dict
 
@@ -708,8 +708,7 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     matrix = _as_matrix(X)
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
-    if not 0.0 <= floor <= 1.0:
-        raise ValueError(f"floor must be in [0, 1], got {floor}")
+    floor = as_unit(floor, "floor")
     if c.kind == "logistic":
         return _sigmoid(matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"])
     # The walk reads its rows in place, as int16 when every value fits.
@@ -849,13 +848,11 @@ def load_model(source) -> Classifier:
     logistic weights of the wrong length, or a threshold, logistic weight
     or bias that is not a finite number.
     """
-    if isinstance(source, (str, os.PathLike)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
-        with open(source, "rb") as f:
-            data = f.read()
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
+    if isinstance(source, (bytes, bytearray)) or (isinstance(source, str) and source.lstrip().startswith("{")):
         data = source
+    else:
+        with open_stream(source, "rb") as stream:
+            data = stream.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ._seeds import as_int
+from ._seeds import as_int, as_unit
 from .featurize import FeatureConfig, _feature_rows, config_from_dict, labeled_candidates
 from .graph import Graph
 from .model import Classifier, predict_scores
@@ -33,9 +33,10 @@ MODES = ("iterative", "noniterative")
 class CompletionConfig:
     """Threshold and mode of a completion run.
 
-    max_steps, an integer (a numpy integer is kept as an int), caps the
-    iterative mode and is an error in any other; None means run to the
-    fixed point (termination is still guaranteed, the non-edge pool is
+    epsilon is a number in [0, 1] (see as_unit; a numpy float is kept as
+    a float). max_steps, an integer (a numpy integer is kept as an int),
+    caps the iterative mode and is an error in any other; None means run to
+    the fixed point (termination is still guaranteed, the non-edge pool is
     finite and every non-final step consumes from it). Each step considers
     every non-edge of the current state.
     """
@@ -45,10 +46,9 @@ class CompletionConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epsilon", as_unit(self.epsilon, "epsilon"))
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", as_int(self.max_steps, "max_steps"))
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_steps is not None and self.max_steps < 0:

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import pytest
 
@@ -11,6 +13,48 @@ from graphgen import community_edges, edge_text, graph_from_edges, two_cliques_e
 # (dense friend circles), generated deterministically since the original
 # files are not shipped with the repository.
 G333_NODES, G333_EDGES = 333, 2519
+
+
+# A test whose setup or call runs longer than its limit fails instead of
+# hanging the suite. The default is criterion 8's own budget, the largest any
+# test states; @pytest.mark.time_limit(seconds) sets a test's own.
+DEFAULT_TIME_LIMIT_S = 900
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so that code catching Exception, such as a sweep's
+    cell isolation or hypothesis's shrinker, does not run on past the limit."""
+
+
+@contextlib.contextmanager
+def _time_limit(item):
+    marker = item.get_closest_marker("time_limit")
+    seconds = marker.args[0] if marker else DEFAULT_TIME_LIMIT_S
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# One limit for setup and one for the call, each inside the phase pytest
+# reports on, so an expiry is always that phase's failure.
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit(item):
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit(item):
+        return (yield)
 
 
 @pytest.fixture(scope="session")

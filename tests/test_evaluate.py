@@ -127,6 +127,46 @@ def test_run_experiment_looks_up_its_centrality_table_once(two_k6, monkeypatch, 
     assert calls == [kind]
 
 
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """The calls made to evaluate.train while it is in use."""
+    calls = []
+    real = evaluate.train
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train", recording)
+    return calls
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 2.0, -1.0, True, "x", None])
+def test_a_threshold_outside_the_unit_interval_fails_before_any_training(two_k6, train_calls, threshold):
+    cfg = FeatureConfig(a=1, b=0, strategy=Strategy("degree"), seed=1)
+    with pytest.raises(ValueError, match="threshold must be a number in"):
+        run_experiment(two_k6, cfg, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold must be a number in"):
+        sweep(two_k6, 1, 0, ["degree"], [1], threshold=threshold)
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("options", [{"classifer": "tree"}, {"table": None}, {"config": None}],
+                         ids=["misspelled", "table", "config"])
+def test_sweep_refuses_an_option_fit_does_not_take_before_any_training(two_k6, train_calls, options):
+    with pytest.raises(TypeError, match="unexpected keyword arguments"):
+        sweep(two_k6, 1, 0, ["degree"], [1], **options)
+    assert train_calls == []
+
+
+def test_sweep_and_run_experiment_forward_fit_options_to_every_cell(two_k6, train_calls):
+    cfg = evaluate.cell_config(1, 0, "degree", 1)
+    want = run_experiment(two_k6, cfg, threshold=np.float64(0.4), classifier="tree", test_fraction=0.3)
+    result = sweep(two_k6, 1, 0, ["degree"], [1], threshold=0.4, classifier="tree", test_fraction=0.3)
+    assert result.cells[0].report == want
+    assert [call["kind"] for call in train_calls] == ["tree", "tree"]
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     g = graph_from_edges(gnm_edges(20, 45, seed=2))

@@ -330,11 +330,16 @@ def test_predict_rejects_non_finite_or_non_numeric_feature_values(kind, bad):
 
 
 @pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
-@pytest.mark.parametrize("floor", [-0.1, 1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("floor", [-0.1, 1.5, float("nan"), float("inf"), True, "0.5"])
 def test_predict_rejects_floor_outside_unit_interval(kind, floor):
     clf = train([[2, 1], [1, 1], [3, 0], [5, 0]], [0, 1, 0, 1], kind=kind, seed=1)
     with pytest.raises(ValueError, match="floor"):
         predict_scores(clf, [[2, 1]], floor=floor)
+
+
+# A scoring walk that never ends fails these tests within 30 s instead of
+# hanging the suite (see conftest.py).
+WALK_TIME_LIMIT = pytest.mark.time_limit(30)
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +370,7 @@ FLOORS = {"0": lambda T: 0.0, "1/T": lambda T: 1 / T, "2/3": lambda T: 2 / 3,
           "0.5": lambda T: 0.5, "0.9": lambda T: 0.9, "1.0": lambda T: 1.0}
 
 
+@WALK_TIME_LIMIT
 @pytest.mark.parametrize("T", [1, 2, 3, 7, 100])
 @pytest.mark.parametrize("floor", sorted(FLOORS))
 def test_floor_keeps_exactly_the_rows_full_scoring_keeps(voting_forests, T, floor):
@@ -374,6 +380,7 @@ def test_floor_keeps_exactly_the_rows_full_scoring_keeps(voting_forests, T, floo
     _assert_floor_is_exact(clf, votes, probe, FLOORS[floor](T))
 
 
+@WALK_TIME_LIMIT
 def test_floor_cases_hold_rows_at_and_around_the_floor(voting_forests):
     """The 100-tree forest at 0.9 has rows below, exactly at and above it,
     so the exactness cases above test both sides of the boundary."""
@@ -402,6 +409,7 @@ def test_forest_stops_walking_a_row_as_soon_as_it_cannot_reach_the_floor(voting_
     assert walked == want
 
 
+@WALK_TIME_LIMIT
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     data=st.data(),
@@ -434,30 +442,20 @@ def _pool_rows(pools, rows, seed):
 
 def _assert_scores_match_reference(forest, tree, X):
     """The forest's scores at floors 0, 0.5 and 0.9 and the tree's leaf
-    values are those of the row-by-row reference walk. A walk that never
-    ends fails within 30 s instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("scoring a few hundred rows took more than 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 30)
-    try:
-        votes = reference_forest_votes(forest, X)
-        assert predict_scores(forest, X).tobytes() == (votes.sum(axis=0) / len(votes)).tobytes()
-        for floor in (0.5, 0.9):
-            _assert_floor_is_exact(forest, votes, X, floor)
-        for floor in (0.0, 0.5, 0.9):
-            assert predict_scores(tree, X, floor=floor).tobytes() == reference_leaf_values(tree, X)[0].tobytes()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    values are those of the row-by-row reference walk."""
+    votes = reference_forest_votes(forest, X)
+    assert predict_scores(forest, X).tobytes() == (votes.sum(axis=0) / len(votes)).tobytes()
+    for floor in (0.5, 0.9):
+        _assert_floor_is_exact(forest, votes, X, floor)
+    for floor in (0.0, 0.5, 0.9):
+        assert predict_scores(tree, X, floor=floor).tobytes() == reference_leaf_values(tree, X)[0].tobytes()
 
 
 def _forest_and_tree(X, y):
     return train(X, y, params={"tree_count": 15}, seed=7), train(X, y, kind="tree", seed=7)
 
 
+@WALK_TIME_LIMIT
 def test_walk_matches_reference_on_values_at_the_int16_limits():
     """Values reaching -32767 and 32767 are walked as int16 against floored
     thresholds; a matrix holding -32768 or 32768 is walked as it is, so no
@@ -476,6 +474,7 @@ def test_walk_matches_reference_on_values_at_the_int16_limits():
         _assert_scores_match_reference(forest, tree, probe)
 
 
+@WALK_TIME_LIMIT
 def test_walk_matches_reference_on_small_ints_of_every_dtype_and_layout():
     """A forest with thresholds beyond the int16 range scores small integers
     alike whatever their dtype, memory order or strides."""

@@ -65,6 +65,15 @@ def test_max_steps_must_be_an_integer_and_a_numpy_integer_is_kept_as_an_int():
     assert type(CompletionConfig(epsilon=0.5, mode="iterative", max_steps=np.int64(2)).max_steps) is int
 
 
+def test_epsilon_must_be_a_number_in_the_unit_interval_and_a_numpy_float_is_kept_as_a_float():
+    for bad in (True, "0.5", float("nan"), -0.1, None):
+        with pytest.raises(ValueError, match="epsilon must be a number in"):
+            CompletionConfig(epsilon=bad, mode="iterative")
+    for good in (np.float64(0.5), np.float32(0.5), 1):
+        epsilon = CompletionConfig(epsilon=good, mode="iterative").epsilon
+        assert type(epsilon) is float and epsilon == good
+
+
 def test_mode_mismatch_and_length_mismatch(clique_setup):
     g, cfg, model = clique_setup
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from ab_linkpred import (
     export_csv,
     export_dataset_csv,
     load_edge_list,
+    load_model,
     render_heatmap,
     save_model,
     sweep,
@@ -77,3 +78,13 @@ def test_load_edge_list_leaves_a_passed_stream_open():
     stream = io.StringIO("1 2\n2 3\n")
     assert load_edge_list(stream).edge_count == 2
     assert not stream.closed
+
+
+def test_load_model_reads_a_path_a_stream_or_a_document_alike(parts, tmp_path):
+    data = save_model(parts[3])
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    binary, text = io.BytesIO(data), io.StringIO(data.decode())
+    for source in (path, str(path), binary, text, data, data.decode()):
+        assert save_model(load_model(source)) == data
+    assert not binary.closed and not text.closed
