@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -261,16 +262,22 @@ def _cmd_complete(args) -> int:
 # Parser wiring
 
 
+# fit owns the pipeline's defaults; the flags read theirs from it.
+_FIT_DEFAULTS = {name: param.default for name, param in inspect.signature(fit).parameters.items()}
+
+
 def _add_common_pipeline_flags(p: argparse.ArgumentParser, single_strategy: bool) -> None:
     if single_strategy:
         p.add_argument("--a", type=_AT_LEAST_1, required=True)
         p.add_argument("--b", type=_AT_LEAST_0, required=True)
         p.add_argument("--strategy", default="degree", choices=STRATEGY_KINDS, help="neighbor ordering")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="pipeline seed (default 42)")
-    p.add_argument("--balance", type=_POSITIVE, default=1.0, help="negatives kept per positive (default 1.0)")
-    p.add_argument("--test-fraction", type=_FRACTION, default=0.25, help="test share of rows (default 0.25)")
+    p.add_argument("--balance", type=_POSITIVE, default=_FIT_DEFAULTS["balance_ratio"],
+                   help="negatives kept per positive (default %(default)s)")
+    p.add_argument("--test-fraction", type=_FRACTION, default=_FIT_DEFAULTS["test_fraction"],
+                   help="test share of rows (default %(default)s)")
     p.add_argument("--threshold", type=_UNIT, default=0.5, help="positive-label score cutoff (default 0.5)")
-    p.add_argument("--classifier", default="forest", choices=("forest", "tree", "logistic"))
+    p.add_argument("--classifier", default=_FIT_DEFAULTS["classifier"], choices=("forest", "tree", "logistic"))
     p.add_argument("--mask-pair-edge", action="store_true", help="hide the pair's own edge from its features")
 
 

@@ -97,7 +97,9 @@ def cell_config(a: int, b: int, kind: str, seed: int, mask_pair_edge: bool = Fal
 
 def score_rows(clf: Classifier, X, y, threshold: float = 0.5) -> MetricsReport:
     """Label rows X positive where clf scores them >= threshold, and count
-    those labels against the true labels y."""
+    those labels against the true labels y. threshold must be a number in
+    [0, 1] (see as_unit), else ValueError."""
+    threshold = as_unit(threshold, "threshold")
     y_pred = (predict_scores(clf, X) >= threshold).astype(np.int8)
     return metrics(confusion(y, y_pred))
 

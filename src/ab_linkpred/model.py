@@ -5,16 +5,20 @@ models serialize to plain JSON:
 
 * forest (default): bagged CART trees with gini splits; the score is the
   fraction of trees voting positive. Raw node-ID features are close to
-  categorical, which axis-aligned splits handle well. Each tree is grown
-  level by level, with its bootstrap sample kept as distinct rows weighted
-  by their draw counts, and candidate columns drawn once per level; a node
-  whose drawn columns hold no valid split tries further columns. A level
-  finds its splits from a histogram of each (node, column) pair's rows per
-  distinct value when there are few distinct values per row, as at the
-  shallow levels, and from its rows sorted by value otherwise. Tree t
-  draws from its own generator, so a large enough forest is grown in
+  categorical, which axis-aligned splits handle well. Trees are grown in
+  batches, level by level: one level of every tree of a batch is one pass
+  over the batch's frontier nodes, so a level's fixed numpy calls are paid
+  once per batch, not once per tree. Each tree's bootstrap sample is kept
+  as distinct rows weighted by their draw counts, and candidate columns
+  are drawn once per level; a node whose drawn columns hold no valid split
+  tries further columns. A level finds its splits from a histogram of each
+  (node, column) pair's rows per distinct value when there are few
+  distinct values per row, as at the shallow levels, and from its rows
+  sorted by value otherwise. Tree t draws from its own generator, so its
+  bytes do not depend on its batch, and a large enough forest is grown in
   one-shot forked worker processes, one per usable CPU and each growing
-  every k-th tree, with the same bytes as a serial run (see _fork_map).
+  an equal share of the batches, with the same bytes as a serial run (see
+  _train_forest and _fork_map).
   Scoring walks each tree, in this process, over the rows still
   unfinished: a state 2 * node per row, leaves that loop to themselves so
   finished rows are looked for only every few levels, and the features as
@@ -312,22 +316,24 @@ def _lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
     return lowest
 
 
-def _grow_tree(
+def _grow_trees(
     ranks: np.ndarray,
     values: np.ndarray,
     offsets: np.ndarray,
     y: np.ndarray,
-    rng: np.random.Generator,
+    rngs: list,
     max_depth: int | None,
     min_leaf: int,
     n_features: int,
     bootstrap: bool,
-) -> dict:
-    """Grow one tree level by level; returns its node arrays.
+) -> list[dict]:
+    """Grow a batch of trees in lockstep, level by level; returns each tree's
+    node arrays, tree t drawing from rngs[t].
 
-    ranks, values and offsets are _dense_ranks(X).
-    The bootstrap sample is drawn first and kept as distinct rows with
-    integer weights. Each depth level is handled by one _level_splits call
+    ranks, values and offsets are _dense_ranks(X). Each tree's bootstrap
+    sample is drawn first and kept as distinct rows with integer weights.
+    The frontier nodes of every tree form one array, tree-major, and each
+    depth level is handled by one _level_splits call for the whole batch
     (or a few, see below): within each (frontier node, candidate column)
     segment, every boundary between distinct values is scored by weighted
     counts of the rows left of it, taken from a histogram of the ranks at
@@ -335,30 +341,32 @@ def _grow_tree(
     entries at the others. A node splits at the boundary of maximum gini
     purity, sum over both sides of (pos^2 + neg^2) / size; ties go to the
     smallest left count, then the lowest column. The threshold is the
-    midpoint of the two values at the boundary.
+    midpoint of the two values at the boundary. Every node's split depends
+    only on its own entries, so a tree is the same in any batch.
 
     When fewer than all columns are candidates, each splittable node of a
-    level gets one random key per column, drawn once per level in level
-    order, and its candidates are the n_features columns of lowest key
-    (the lower column first among equal keys). A node with no valid
-    boundary among them goes on to the next n_features columns in key
-    order, until one block splits it or the columns run out, so an unlucky
-    draw of constant columns does not end a branch that could still be
-    split. Only the nodes that go past the first block have their keys
-    fully sorted.
+    level gets one random key per column, drawn from its tree's generator
+    once per level in level order, and its candidates are the n_features
+    columns of lowest key (the lower column first among equal keys). A node
+    with no valid boundary among them goes on to the next n_features
+    columns in key order, until one block splits it or the columns run out,
+    so an unlucky draw of constant columns does not end a branch that could
+    still be split. Only the nodes that go past the first block have their
+    keys fully sorted.
 
-    The nodes are numbered in the order they are grown, level by level:
-    the children of the j-th split node are 2j+1 and 2j+2. The tree is
-    fully determined by (data, params, rng seed).
+    Each tree's nodes are numbered in the order they are grown, level by
+    level: the children of its j-th split node are 2j+1 and 2j+2. A tree
+    stops growing when its frontier empties, and is fully determined by
+    (data, params, its generator's seed).
     """
     m, total_features = ranks.shape
-    if bootstrap:
-        rows, weight = np.unique(rng.integers(0, m, size=m), return_counts=True)
-    else:
-        rows, weight = np.arange(m), np.ones(m, dtype=np.int64)
+    samples = [np.unique(rng.integers(0, m, size=m), return_counts=True) if bootstrap
+               else (np.arange(m), np.ones(m, dtype=np.int64)) for rng in rngs]
+    rows, weight = (np.concatenate(arrays) for arrays in zip(*samples))
     pos_weight = weight * y[rows]
-    sizes = np.array([len(rows)])  # entries of each frontier node; entries are grouped by node
-    levels = []  # per depth: (value, feature, threshold) of its nodes, in level order
+    sizes = np.array([len(sample_rows) for sample_rows, _ in samples])  # entries of each frontier node, grouped by node
+    tree = np.arange(len(rngs))  # the tree of each frontier node, ascending
+    levels = []  # per depth: (value, feature, threshold, tree) of its nodes, in level order
     depth = 0
     while True:
         starts = np.cumsum(sizes) - sizes
@@ -366,7 +374,7 @@ def _grow_tree(
         pos = np.add.reduceat(pos_weight, starts)
         feature = np.full(len(sizes), -1, dtype=np.int32)
         threshold = np.zeros(len(sizes))
-        levels.append((pos / count, feature, threshold))
+        levels.append((pos / count, feature, threshold, tree))
         splittable = (pos > 0) & (pos < count) & (count >= 2 * min_leaf)
         if max_depth is not None and depth >= max_depth or not splittable.any():
             break
@@ -376,7 +384,8 @@ def _grow_tree(
         sizes = sizes[open_nodes]
         drawn = n_features < total_features
         if drawn:
-            keys = rng.random((len(open_nodes), total_features))
+            per_tree = np.bincount(tree[open_nodes], minlength=len(rngs))
+            keys = np.concatenate([rngs[t].random((n, total_features)) for t, n in enumerate(per_tree) if n])
 
         split_col = np.full(len(open_nodes), -1, dtype=np.intp)
         cut = np.zeros(len(open_nodes), dtype=ranks.dtype)
@@ -407,7 +416,8 @@ def _grow_tree(
             break
         feature[open_nodes[split_open]] = split_col[split_open]
 
-        # Next frontier: the rows of each split node, left child then right.
+        # Next frontier: the rows of each split node, left child then right,
+        # so each tree's children follow its split order and stay tree-major.
         # Rows go by rank, which agrees with X <= threshold whenever the
         # midpoint lies below the right-hand value, and never empties a child.
         child_of = np.full(len(open_nodes), -1, dtype=np.int64)
@@ -419,15 +429,20 @@ def _grow_tree(
         order = np.argsort(child.astype(_small_int(2 * len(split_open))), kind="stable")
         rows, weight, pos_weight = rows[moved][order], weight[moved][order], pos_weight[moved][order]
         sizes = np.bincount(child)
+        tree = np.repeat(tree[open_nodes[split_open]], 2)
         depth += 1
-    return _level_order_arrays(levels)
+    # Each tree's nodes of every level, in level order.
+    value, feature, threshold, tree = (np.concatenate(arrays) for arrays in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    bounds = np.searchsorted(tree[order], np.arange(1, len(rngs)))
+    return [_level_order_arrays(*arrays) for arrays in
+            zip(*(np.split(arr[order], bounds) for arr in (value, feature, threshold)))]
 
 
-def _level_order_arrays(levels: list) -> dict:
-    """Node arrays numbered in level order from per-level node arrays: as each
-    level holds the children of the split nodes above, left then right, the
-    j-th split node has the children 2j+1 and 2j+2."""
-    value, feature, threshold = (np.concatenate(arrays) for arrays in zip(*levels))
+def _level_order_arrays(value: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> dict:
+    """Node arrays numbered in level order from a tree's nodes in level
+    order: as each level holds the children of the split nodes above, left
+    then right, the j-th split node has the children 2j+1 and 2j+2."""
     left = np.full(len(feature), -1)
     left[feature >= 0] = 2 * np.arange(np.count_nonzero(feature >= 0)) + 1
     right = np.where(left >= 0, left + 1, -1)
@@ -507,19 +522,13 @@ def _resolve_feature_count(total: int, requested) -> int:
     return requested
 
 
-def _grow_one(t: int, data: tuple) -> dict:
-    """Tree t of a forest, from its own generator; data is (_dense_ranks(X), y, params, n_features, seed)."""
-    columns, y, params, n_features, seed = data
-    rng = np.random.default_rng(derive_seed(seed, "tree", t))
-    return _grow_tree(*columns, y, rng, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
-
-
 # Worker processes grow a forest only from this many rows x trees on.
-# Measured with 2 workers on forests of 10-100 trees and 4-162 columns: at
-# 10,000 they saved 11-38%, at 5,000 0-29%, and at 2,500 some forests took
-# up to twice as long, starting the workers and collecting the trees
-# costing more than the trees. Rows x columns x trees predicted this worse.
-_POOL_MIN_ROW_TREES = 10_000
+# Measured with 2 workers against batched in-process growth, on forests of
+# 10-100 trees and 4-162 columns: from 30,000 they took 0.63-0.88 of the
+# time, at 20,000-25,000 0.77-1.00, at 15,000 0.86-1.08 and at 10,000
+# 0.91-1.31, starting the workers and collecting the trees costing about
+# as much as the trees. Rows x columns x trees predicted this worse.
+_POOL_MIN_ROW_TREES = 20_000
 
 
 def _forest_workers(X: np.ndarray, tree_count: int) -> int:
@@ -543,8 +552,10 @@ def _fork_map(fn, count: int, workers: int) -> list:
     Worker w computes the indices i = w (mod workers) on inputs inherited
     through fork, sends its list once over a pipe and exits, so the result
     does not depend on the worker count; this process only collects the
-    lists. workers == 1 computes them here, without a fork. A worker that
-    dies raises ChildProcessError. Whatever ends the call (an error, a
+    lists. A forest's index is a batch of trees. A worker checks that its
+    parent still runs before each index, and returns without sending once
+    it is gone. workers == 1 computes them here, without a fork. A worker
+    that dies raises ChildProcessError. Whatever ends the call (an error, a
     failed fork, Ctrl-C), the processes it started are stopped.
     """
     if workers == 1:
@@ -592,16 +603,41 @@ def _fork_map(fn, count: int, workers: int) -> list:
     return out
 
 
-def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
-    """Grow the trees, in worker processes when _forest_workers allows it.
+# A batch of trees grows in one level loop while its trees' bootstrap rows x
+# candidate columns stay within this many entries; a level's arrays grow
+# with them. Measured with 100 trees on 3,778 rows and 2 workers: from 2^17
+# to 2^20, a=3 b=1 (5 candidate columns) took 0.27-0.23 s, a=5 b=3 (13)
+# was fastest here at 0.45 s and took 0.51 s at 2^19-2^20, as its levels'
+# arrays outgrew the caches, and a worker's peak RSS rose by 2-4 MB here
+# against 18-27 MB at 2^20.
+_BATCH_ENTRIES = 2**18
 
-    Tree t depends only on the inputs and derive_seed(seed, "tree", t), so
-    its bytes do not depend on which process grows it.
+
+def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
+    """Grow the trees in batches, in worker processes when _forest_workers
+    allows it.
+
+    Batch i holds the trees i, i + batches, i + 2 * batches, ..., at most
+    _BATCH_ENTRIES // (rows x candidate columns) of them, and the batch
+    count is rounded up to a multiple of the worker count (but no more than
+    one batch per tree), so each worker grows an equal share. Tree t depends only on the inputs and derive_seed(seed, "tree",
+    t), so its bytes do not depend on its batch or on which process grows it.
     """
     n_features = _resolve_feature_count(X.shape[1], params["feature_subsample"])
-    data = (_dense_ranks(X), y, params, n_features, seed)
+    table = _dense_ranks(X)
     tree_count = params["tree_count"]
-    return {"trees": _fork_map(lambda t: _grow_one(t, data), tree_count, _forest_workers(X, tree_count))}
+    workers = _forest_workers(X, tree_count)
+    batches = -(-tree_count // max(1, _BATCH_ENTRIES // (X.shape[0] * n_features)))
+    batches = min(tree_count, -(-batches // workers) * workers)
+
+    def grow(i: int) -> list[dict]:
+        rngs = [np.random.default_rng(derive_seed(seed, "tree", t)) for t in range(i, tree_count, batches)]
+        return _grow_trees(*table, y, rngs, params["max_depth"], params["min_leaf"], n_features, params["bootstrap"])
+
+    trees = [None] * tree_count
+    for i, batch in enumerate(_fork_map(grow, batches, workers)):
+        trees[i::batches] = batch
+    return {"trees": trees}
 
 
 # ---------------------------------------------------------------------------

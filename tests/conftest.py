@@ -75,21 +75,21 @@ def two_k6():
 
 
 _TEST_PID = os.getpid()
-_GROW_ONE = model._grow_one
+_GROW_TREES = model._grow_trees
 
 
-def _die_in_worker(t, data=None):
-    """model._grow_one, except that a forest worker process exits at once."""
+def _die_in_worker(*args):
+    """model._grow_trees, except that a forest worker process exits at once."""
     if os.getpid() != _TEST_PID:
         os._exit(1)
-    return _GROW_ONE(t, data)
+    return _GROW_TREES(*args)
 
 
 @pytest.fixture()
 def dying_forest_workers(monkeypatch):
-    """Two usable CPUs, and forest worker processes that die on their first tree."""
+    """Two usable CPUs, and forest worker processes that die on their first batch of trees."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(model, "_grow_one", _die_in_worker)
+    monkeypatch.setattr(model, "_grow_trees", _die_in_worker)
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import ab_linkpred
 
 from ab_linkpred import FeatureConfig, Strategy, balanced_dataset, load_model, save_model, split, train
-from ab_linkpred.cli import main
-from ab_linkpred.evaluate import export_csv
+from ab_linkpred.cli import _build_parser, main
+from ab_linkpred.evaluate import export_csv, fit
 from ab_linkpred.featurize import config_to_dict
 
 from graphgen import community_edges, edge_text, gnm_edges, two_cliques_edges
@@ -44,6 +45,15 @@ def strip_wall_ms(csv_text):
     lines = csv_text.splitlines()
     assert lines[0].endswith(",wall_ms")
     return [line.rsplit(",", 1)[0] for line in lines]
+
+
+@pytest.mark.parametrize("command", [["sweep", "--out", "s.csv"], ["train", "--a", "1", "--b", "0", "--out", "m.json"],
+                                     ["eval", "--a", "1", "--b", "0"]], ids=["sweep", "train", "eval"])
+def test_pipeline_flag_defaults_are_fits(command):
+    args = _build_parser().parse_args([command[0], "g.txt", *command[1:]])
+    defaults = {name: param.default for name, param in inspect.signature(fit).parameters.items()}
+    assert (args.balance, args.test_fraction, args.classifier) == (
+        defaults["balance_ratio"], defaults["test_fraction"], defaults["classifier"])
 
 
 def test_no_arguments_is_usage_error(capsys):

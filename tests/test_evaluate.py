@@ -17,6 +17,7 @@ from ab_linkpred import (
     render_heatmap,
     run_experiment,
     sweep,
+    train,
 )
 from ab_linkpred import centrality, evaluate
 from ab_linkpred.centrality import STRATEGY_KINDS
@@ -149,6 +150,13 @@ def test_a_threshold_outside_the_unit_interval_fails_before_any_training(two_k6,
     with pytest.raises(ValueError, match="threshold must be a number in"):
         sweep(two_k6, 1, 0, ["degree"], [1], threshold=threshold)
     assert train_calls == []
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+def test_score_rows_refuses_a_threshold_outside_the_unit_interval(threshold):
+    clf = train([[0], [1], [2], [3]], [0, 1, 0, 1], kind="tree", seed=1)
+    with pytest.raises(ValueError, match="threshold must be a number in"):
+        evaluate.score_rows(clf, [[0], [1]], [0, 1], threshold)
 
 
 @pytest.mark.parametrize("options", [{"classifer": "tree"}, {"table": None}, {"config": None}],

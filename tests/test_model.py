@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,8 +269,8 @@ def test_level_wise_tree_matches_reference_when_column_keys_tie(columns, n_featu
     monkeypatch.setattr(model_module, "_HISTOGRAM_BINS_PER_ENTRY", SPLIT_PATHS[path])
     X, y = _feature_columns(columns)
     table = model_module._dense_ranks(X)
-    for seed in range(4):
-        tree = model_module._grow_tree(*table, y, _TiedKeys(seed), None, 1, n_features, True)
+    trees = model_module._grow_trees(*table, y, [_TiedKeys(seed) for seed in range(4)], None, 1, n_features, True)
+    for seed, tree in enumerate(trees):
         _assert_same_tree(tree, reference_tree(X, y, _TiedKeys(seed), None, 1, n_features, True))
 
 
@@ -307,6 +308,99 @@ def test_level_wise_forest_matches_reference_with_column_draws_on_tied_values(da
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
     n_features = data.draw(st.integers(1, cols - 1))
     _assert_matches_reference(X, y, max_depth, min_leaf, True, seed, tree_count=2, n_features=n_features)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    data=st.data(),
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 5),
+    span=st.integers(1, 4),
+    tree_count=st.integers(2, 5),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.one_of(st.none(), st.integers(0, 5)),
+    bootstrap=st.booleans(),
+    tied=st.booleans(),
+    path=st.sampled_from(sorted(SPLIT_PATHS)),
+    seed=st.integers(0, 2**16),
+)
+def test_trees_grown_as_one_batch_match_trees_grown_one_per_batch(data, rows, cols, span, tree_count, min_leaf,
+                                                                  max_depth, bootstrap, tied, path, seed):
+    X = np.array(data.draw(st.lists(st.lists(st.integers(-span, span), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    n_features = data.draw(st.integers(1, cols))
+    generator = _TiedKeys if tied else np.random.default_rng
+    table = model_module._dense_ranks(X)
+
+    def grow(trees):
+        return model_module._grow_trees(*table, y, [generator(seed + t) for t in trees], max_depth, min_leaf,
+                                        n_features, bootstrap)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_HISTOGRAM_BINS_PER_ENTRY", SPLIT_PATHS[path])
+        batch = grow(range(tree_count))
+        assert len(batch) == tree_count
+        for t, tree in enumerate(batch):
+            _assert_same_tree(tree, grow([t])[0])
+
+
+class _OneRowSample(_TiedKeys):
+    """A generator whose bootstrap sample is row 0 drawn every time, so
+    that its tree is a single leaf; its column keys tie as _TiedKeys' do."""
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("path", sorted(SPLIT_PATHS))
+@pytest.mark.parametrize("leaf", [0, 1, 3])
+def test_a_single_leaf_tree_leaves_the_rest_of_its_batch_as_grown_alone(path, leaf, monkeypatch):
+    monkeypatch.setattr(model_module, "_HISTOGRAM_BINS_PER_ENTRY", SPLIT_PATHS[path])
+    X, y = _feature_columns("graph")
+    table = model_module._dense_ranks(X)
+
+    def generator(t):
+        return _OneRowSample(t) if t == leaf else np.random.default_rng(t)
+
+    batch = model_module._grow_trees(*table, y, [generator(t) for t in range(4)], None, 1, 2, True)
+    for t, tree in enumerate(batch):
+        assert (len(tree["feature"]) == 1) == (t == leaf)
+        assert t == leaf or len(tree["feature"]) > 2**4  # the others grow deep
+        _assert_same_tree(tree, model_module._grow_trees(*table, y, [generator(t)], None, 1, 2, True)[0])
+
+
+def test_a_batch_traces_a_peak_bounded_by_its_budget(monkeypatch):
+    """Each batch's traced peak, past the trees it returns, stays within a
+    fixed number of bytes per entry of _BATCH_ENTRIES, so a forest of many
+    batches needs no more memory than one. A batch of all 32 trees needs
+    about four times as much."""
+    budget = 2**16
+    monkeypatch.setattr(model_module, "_BATCH_ENTRIES", budget)
+    _cpus(monkeypatch, 1)
+    grow_trees = model_module._grow_trees
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        trees = grow_trees(*args)
+        kept = sum(arr.nbytes for tree in trees for arr in tree.values())
+        peaks.append(tracemalloc.get_traced_memory()[1] - before - kept)
+        return trees
+
+    monkeypatch.setattr(model_module, "_grow_trees", traced)
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 300, size=(2000, 16))  # 4 candidate columns: 8 trees of 2,000 rows per batch
+    y = (X[:, 0] + rng.integers(0, 100, 2000) > 200).astype(np.int64)
+    params = {**model_module.DEFAULT_PARAMS["forest"], "tree_count": 32, "bootstrap": False}
+    tracemalloc.start()
+    try:
+        _train_forest(X, y, params, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks) <= 128 * budget  # 79 bytes per entry measured
 
 
 @pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
@@ -933,6 +1027,13 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+@pytest.fixture()
+def fixture_forests_fork(monkeypatch):
+    """Forests fork from 10,000 rows x trees, so that forests of the 180
+    golden fixture rows fork from 57 trees on and the pool tests stay quick."""
+    monkeypatch.setattr(model_module, "_POOL_MIN_ROW_TREES", 10_000)
+
+
 def _trained_bytes(kind, params):
     X, y = _golden_fixture_rows()
     return save_model(train(X, y, kind=kind, params=params, seed=3))
@@ -953,7 +1054,7 @@ def _trained_bytes_on_a_second_thread(kind, params):
     ("forest", {"feature_subsample": 1, "max_depth": 4}),
     ("tree", None),
 ])
-def test_model_bytes_do_not_depend_on_the_worker_count(monkeypatch, pools, kind, params):
+def test_model_bytes_do_not_depend_on_the_worker_count(monkeypatch, pools, kind, params, fixture_forests_fork):
     serial = _trained_bytes_on_a_second_thread(kind, params)
     assert pools == []
     for cpus in (1, 2, 3):
@@ -973,7 +1074,7 @@ def test_a_small_forest_grows_in_this_process(monkeypatch, pools):
     assert model_module._forest_workers(np.zeros((rows, 3)), 1) == 1
 
 
-def test_a_thread_unknown_to_threading_grows_its_forest_in_this_process(monkeypatch, pools):
+def test_a_thread_unknown_to_threading_grows_its_forest_in_this_process(monkeypatch, pools, fixture_forests_fork):
     _cpus(monkeypatch, 1)
     serial = _trained_bytes("forest", None)
     _cpus(monkeypatch, 2)
@@ -1004,14 +1105,14 @@ def _stop_children():
     return left
 
 
-def test_a_dead_worker_raises_and_leaves_no_process(dying_forest_workers, pools):
+def test_a_dead_worker_raises_and_leaves_no_process(dying_forest_workers, pools, fixture_forests_fork):
     with pytest.raises(ChildProcessError, match="worker process died"):
         _trained_bytes("forest", None)
     assert pools == [2]
     assert _stop_children() == []
 
 
-def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools):
+def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools, fixture_forests_fork):
     _cpus(monkeypatch, 3)
     forks = []
     real_fork = os.fork
@@ -1035,13 +1136,13 @@ import numpy as np
 from ab_linkpred import model, train
 
 os.sched_getaffinity = lambda pid: {0, 1}
-grow_one = model._grow_one
+grow_trees = model._grow_trees
 
-def announce(t, data=None):
+def announce(*args):
     print("worker", os.getpid(), flush=True)
-    return grow_one(t, data)
+    return grow_trees(*args)
 
-model._grow_one = announce
+model._grow_trees = announce
 rng = np.random.default_rng(0)
 train(rng.integers(0, 50, size=(400, 8)), rng.integers(0, 2, 400), params={"tree_count": 10_000})
 """
@@ -1049,7 +1150,7 @@ train(rng.integers(0, 50, size=(400, 8)), rng.integers(0, 2, 400), params={"tree
 
 def _start_forked_training():
     """A fresh interpreter training a 10,000-tree forest on 2 workers, in a
-    process group of its own; each tree prints a `worker` line first."""
+    process group of its own; each batch of trees prints a `worker` line first."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(model_module.__file__)), os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-c", _KILLED_PARENT_SCRIPT], env=env, stdout=subprocess.PIPE,
