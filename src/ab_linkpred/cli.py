@@ -21,6 +21,7 @@ import sys
 import time
 
 from . import __version__
+from ._streams import open_stream
 from .centrality import MEASURES, STRATEGY_KINDS, _ranked, centrality_table
 from .evaluate import (
     SweepCell,
@@ -35,7 +36,7 @@ from .evaluate import (
     sweep,
 )
 from .graph import load_edge_list, stats
-from .model import load_model, save_model
+from .model import DEFAULT_PARAMS, load_model, save_model
 from .predict import MODES, CompletionConfig, complete
 
 DEFAULT_SEED = 42
@@ -80,7 +81,7 @@ _SEEDS = _checked(int, "comma-separated integers", many=True)
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as f:
+    with open_stream(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -108,18 +109,20 @@ def _pipeline_params(args) -> dict:
 
 
 def _write_manifest(
-    out_path: str, subcommand: str, params: dict, seeds: list[int], input_path: str, wall_s: float, extra: dict | None = None
+    out_path: str, subcommand: str, params: dict, seeds: list[int], input_digest: str, wall_s: float, extra: dict | None = None
 ) -> None:
+    """Write out_path's manifest sidecar. input_digest is taken before the
+    command writes any output, which may overwrite its input."""
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
         "parameters": params,
         "seeds": seeds,
-        "input_digest": _sha256(input_path),
+        "input_digest": input_digest,
         "wall_time_s": round(wall_s, 3),
         **(extra or {}),
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as f:
+    with open_stream(str(out_path) + ".manifest.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -148,6 +151,7 @@ def _cmd_centrality(args) -> int:
 def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     g = load_edge_list(args.graph)
+    digest = _sha256(args.graph)
     result = sweep(
         g,
         args.a_max,
@@ -169,10 +173,10 @@ def _cmd_sweep(args) -> int:
         "heatmap": str(args.heatmap) if args.heatmap else None,
         **_pipeline_params(args),
     }
-    _write_manifest(args.out, "sweep", params, args.seeds, args.graph, wall)
+    _write_manifest(args.out, "sweep", params, args.seeds, digest, wall)
     if args.heatmap:
         render_heatmap(result, "f1", args.heatmap)
-        _write_manifest(args.heatmap, "sweep", params, args.seeds, args.graph, wall)
+        _write_manifest(args.heatmap, "sweep", params, args.seeds, digest, wall)
     failures = [c for c in result.cells if c.error is not None]
     for c in failures:
         print(f"cell a={c.a} b={c.b} {c.strategy} seed={c.seed} failed: {c.error}", file=sys.stderr)
@@ -186,6 +190,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_train(args) -> int:
     start = time.perf_counter()
     g = load_edge_list(args.graph)
+    digest = _sha256(args.graph)
     clf, parts = fit(
         g,
         cell_config(args.a, args.b, args.strategy, args.seed, args.mask_pair_edge),
@@ -197,7 +202,7 @@ def _cmd_train(args) -> int:
         r = score_rows(clf, X, y, args.threshold)
         print(f"{name}: precision={r.precision:.4f} recall={r.recall:.4f} f1={r.f1:.4f}", file=sys.stderr)
     params = {"a": args.a, "b": args.b, "strategy": args.strategy, **_pipeline_params(args)}
-    _write_manifest(args.out, "train", params, [args.seed], args.graph, wall)
+    _write_manifest(args.out, "train", params, [args.seed], digest, wall)
     print(f"saved model to {args.out}", file=sys.stderr)
     return 0
 
@@ -233,8 +238,9 @@ def _cmd_complete(args) -> int:
     start = time.perf_counter()
     clf = load_model(args.model)
     g = load_edge_list(args.graph)
+    digest = _sha256(args.graph)
     trace = complete(g, clf, cfg)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with open_stream(args.out, "w", encoding="utf-8") as f:
         for step, batch in enumerate(trace.batches, 1):
             for u, v, score in batch:
                 f.write(f"{step} {g.labels[u]} {g.labels[v]} {score:.6f}\n")
@@ -247,7 +253,7 @@ def _cmd_complete(args) -> int:
         "out": str(args.out),
         "featurize_config": clf.featurize_config,
     }
-    _write_manifest(args.out, "complete", params, [clf.featurize_config["seed"]], args.graph, wall,
+    _write_manifest(args.out, "complete", params, [clf.featurize_config["seed"]], digest, wall,
                     {"steps": trace.steps})
     added = len(trace.added_edges)
     print(
@@ -277,7 +283,7 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser, single_strategy: bool
     p.add_argument("--test-fraction", type=_FRACTION, default=_FIT_DEFAULTS["test_fraction"],
                    help="test share of rows (default %(default)s)")
     p.add_argument("--threshold", type=_UNIT, default=0.5, help="positive-label score cutoff (default 0.5)")
-    p.add_argument("--classifier", default=_FIT_DEFAULTS["classifier"], choices=("forest", "tree", "logistic"))
+    p.add_argument("--classifier", default=_FIT_DEFAULTS["classifier"], choices=tuple(DEFAULT_PARAMS))
     p.add_argument("--mask-pair-edge", action="store_true", help="hide the pair's own edge from its features")
 
 

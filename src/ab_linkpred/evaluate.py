@@ -19,9 +19,10 @@ import numpy as np
 from ._seeds import as_int, as_unit, derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, table_for
-from .featurize import FeatureConfig, Split, balanced_dataset, build_dataset, config_to_dict, split
+from .featurize import (FeatureConfig, Split, _as_ratio, _as_test_fraction, balanced_dataset, build_dataset,
+                        config_to_dict, split)
 from .graph import Graph
-from .model import Classifier, predict_scores, train
+from .model import Classifier, _as_labels, _merged_params, predict_scores, train
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,10 @@ class MetricsReport:
 
 
 def confusion(y_true, y_pred) -> ConfusionCounts:
-    """Standard binary confusion counts; inputs must be equal-length 0/1 vectors."""
-    t = np.asarray(y_true, dtype=np.int64)
-    p = np.asarray(y_pred, dtype=np.int64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ValueError(f"label vectors must match, got shapes {t.shape} and {p.shape}")
-    for name, arr in (("y_true", t), ("y_pred", p)):
-        if len(arr) and not np.isin(arr, (0, 1)).all():
-            raise ValueError(f"{name} must contain only 0/1 labels")
+    """Standard binary confusion counts; inputs must be equal-length 0/1
+    vectors (see model._as_labels), else ValueError."""
+    t = _as_labels(y_true, np.size(y_true))
+    p = _as_labels(y_pred, len(t))
     tp = int(((t == 1) & (p == 1)).sum())
     fp = int(((t == 0) & (p == 1)).sum())
     fn = int(((t == 1) & (p == 0)).sum())
@@ -180,22 +177,25 @@ def sweep(
     another in the calling thread, in canonical (a, b, strategy, seed) order.
 
     Every cell runs run_experiment with fit_options, fit's keyword options
-    except table. Those and threshold are checked before the first cell, so
-    an unknown option is a TypeError and a bad threshold a ValueError at the
-    call. A cell that fails records "ExceptionType: message" as its error,
-    in place, and the sweep continues. Centrality tables are computed once
-    per measure and shared. threads is accepted for compatibility, to no
-    effect.
+    except table. Those and threshold are checked before the first cell: an
+    unknown option is a TypeError, and a bad threshold or an option value
+    every cell would refuse (by the rules of train, balanced_dataset and
+    split) a ValueError, at the call. A cell that fails records
+    "ExceptionType: message" as its error, in place, and the sweep
+    continues. Centrality tables are computed once per measure and shared.
+    threads is accepted for compatibility, to no effect.
     """
     threshold = as_unit(threshold, "threshold")
     unknown = fit_options.keys() - (signature(fit).parameters.keys() - {"g", "config", "table"})
     if unknown:
         raise TypeError(f"sweep() got unexpected keyword arguments {sorted(unknown)}")
-    a_max, b_max = as_int(a_max, "a_max"), as_int(b_max, "b_max")
-    if a_max < 1:
-        raise ValueError(f"a_max must be >= 1, got {a_max}")
-    if b_max < 0:
-        raise ValueError(f"b_max must be >= 0, got {b_max}")
+    options = signature(fit).bind(g, None, **fit_options)
+    options.apply_defaults()
+    _merged_params(options.arguments["classifier"], options.arguments["classifier_params"])
+    if options.arguments["balance_ratio"] is not None:
+        _as_ratio(options.arguments["balance_ratio"])
+    _as_test_fraction(options.arguments["test_fraction"])
+    a_max, b_max = as_int(a_max, "a_max", 1), as_int(b_max, "b_max", 0)
     strategies = list(strategies)
     seeds = list(seeds)
     tables = {kind: table_for(g, Strategy(kind)) for kind in set(strategies) if kind != "random"}

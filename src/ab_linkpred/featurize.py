@@ -12,13 +12,12 @@ so every row has exactly 2*(a + a*a*b) + 2 values.
 from __future__ import annotations
 
 import csv
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import as_int, derive_seed
+from ._seeds import as_int, as_real, derive_seed
 from ._streams import open_stream
 from .centrality import CentralityTable, Strategy, neighbor_orders
 from .graph import Graph
@@ -44,14 +43,12 @@ class FeatureConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name, low in (("a", 1), ("b", 0), ("seed", None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
         if not isinstance(self.mask_pair_edge, bool):
             raise ValueError(f"mask_pair_edge must be a bool, got {self.mask_pair_edge!r}")
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
-        if self.b < 0:
-            raise ValueError(f"b must be >= 0, got {self.b}")
 
     @property
     def block_length(self) -> int:
@@ -245,10 +242,19 @@ def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: Centrality
     return X
 
 
+def _as_ratio(negative_ratio) -> float:
+    """The balance ratio checked (see as_real): a finite number > 0."""
+    return as_real(negative_ratio, "negative_ratio", "a finite number > 0", lambda r: r > 0)
+
+
+def _as_test_fraction(test_fraction) -> float:
+    """The test fraction checked (see as_real): a number in (0, 1)."""
+    return as_real(test_fraction, "test_fraction", "in (0, 1)", lambda f: 0 < f < 1)
+
+
 def _balanced_row_indices(y: np.ndarray, negative_ratio: float, seed: int) -> np.ndarray:
     """Indices keeping all positives plus a seeded sample of negatives."""
-    if not 0 < negative_ratio < math.inf:
-        raise ValueError(f"negative_ratio must be a finite number > 0, got {negative_ratio}")
+    negative_ratio = _as_ratio(negative_ratio)
     pos = np.flatnonzero(y == 1)
     if len(pos) == 0:
         raise ValueError("cannot balance a dataset with no positive rows")
@@ -302,8 +308,7 @@ def split(d: Dataset, test_fraction: float, seed: int) -> Split:
     clamped so both sides keep at least one row of each class; classes with
     fewer than two rows cannot be stratified and raise.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    test_fraction = _as_test_fraction(test_fraction)
     if len(d.y) == 0:
         raise ValueError("cannot split an empty dataset")
     rng = random.Random(derive_seed(seed, "split"))

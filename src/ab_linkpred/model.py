@@ -36,14 +36,13 @@ import math
 import multiprocessing
 import os
 import signal
-import sys
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import as_int, as_unit, derive_seed
+from ._seeds import as_int, as_real, as_unit, derive_seed
 from ._streams import open_stream
 from .featurize import config_from_dict
 
@@ -104,10 +103,9 @@ def _merged_params(kind: str, params: dict | None) -> dict:
     """The kind's default hyperparameters updated with params, checked.
 
     Count hyperparameters must be integers (see as_int; None where nullable),
-    bootstrap a bool, and learning_rate > 0 and l2 >= 0 ints or floats
-    within the float range (a bool is neither); numpy numbers are kept as
-    Python ints and floats, so the model serializes. Else ValueError. train
-    and load_model share this check.
+    bootstrap a bool, and learning_rate > 0 and l2 >= 0 real numbers (see
+    as_real); numpy numbers are kept as Python ints and floats, so the model
+    serializes. Else ValueError. train and load_model share this check.
     """
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown classifier kind {kind!r}, expected one of {tuple(DEFAULT_PARAMS)}")
@@ -116,32 +114,15 @@ def _merged_params(kind: str, params: dict | None) -> dict:
         if key not in merged:
             raise ValueError(f"unknown {kind} hyperparameter {key!r}")
         merged[key] = value
-    for key in ("tree_count", "min_leaf", "feature_subsample", "max_depth", "epochs"):
+    for key, low in (("tree_count", 1), ("min_leaf", 1), ("feature_subsample", None), ("max_depth", 0), ("epochs", 0)):
         if key in merged and not (key in ("max_depth", "feature_subsample") and merged[key] is None):
-            merged[key] = as_int(merged[key], key)
-    if kind in ("forest", "tree"):
-        if merged["min_leaf"] < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {merged['min_leaf']}")
-        if merged["max_depth"] is not None and merged["max_depth"] < 0:
-            raise ValueError(f"max_depth must be None or >= 0, got {merged['max_depth']}")
-    if kind == "forest":
-        if merged["tree_count"] < 1:
-            raise ValueError(f"tree_count must be >= 1, got {merged['tree_count']}")
-        if not isinstance(merged["bootstrap"], bool):
-            raise ValueError(f"bootstrap must be true or false, got {merged['bootstrap']!r}")
+            merged[key] = as_int(merged[key], key, low)
+    if kind == "forest" and not isinstance(merged["bootstrap"], bool):
+        raise ValueError(f"bootstrap must be true or false, got {merged['bootstrap']!r}")
     if kind == "logistic":
-        if merged["epochs"] < 0:
-            raise ValueError(f"epochs must be >= 0, got {merged['epochs']}")
-        for key in ("learning_rate", "l2"):
-            value = merged[key]
-            if isinstance(value, np.floating):
-                merged[key] = value = float(value)
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-        if merged["learning_rate"] <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {merged['learning_rate']}")
-        if merged["l2"] < 0:
-            raise ValueError(f"l2 must be >= 0, got {merged['l2']}")
+        merged["learning_rate"] = as_real(merged["learning_rate"], "learning_rate", "a finite number > 0",
+                                          lambda x: x > 0)
+        merged["l2"] = as_real(merged["l2"], "l2", "a finite number >= 0", lambda x: x >= 0)
     return merged
 
 
@@ -690,8 +671,8 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     (tree_count, min_leaf, feature_subsample, max_depth, epochs) integers
     (kept as ints; None is allowed only for feature_subsample and
     max_depth), bootstrap a bool (which is no integer), and learning_rate
-    > 0 and l2 >= 0 finite ints or floats that are not bools (a numpy
-    float is kept as a Python float); else ValueError. A logistic fit that
+    > 0 and l2 >= 0 real numbers (see as_real; a numpy number is kept as
+    a Python int or float); else ValueError. A logistic fit that
     diverges to weights or a bias that are not finite raises ValueError
     too, so every returned model saves and loads. Large forests are grown
     in worker processes (see _forest_workers); a worker that dies raises
@@ -772,7 +753,9 @@ def predict_score(c: Classifier, x) -> float:
 
 
 def predict_label(c: Classifier, x, threshold: float = 0.5) -> int:
-    """1 when the score clears the threshold (inclusive), else 0."""
+    """1 when the score clears the threshold (inclusive), else 0. threshold
+    must be a number in [0, 1] (see as_unit), else ValueError."""
+    threshold = as_unit(threshold, "threshold")
     return 1 if predict_score(c, x) >= threshold else 0
 
 
@@ -803,9 +786,8 @@ def _payload_from_jsonable(kind: str, doc: dict) -> dict:
     if kind in ("forest", "tree"):
         return {"trees": [{key: _json_array(tree[key], key, dtype) for key, dtype in _TREE_DTYPES.items()}
                           for tree in doc["trees"]]}
-    if type(doc["bias"]) not in (int, float):
-        raise TypeError(f"bias must be a JSON number, got {doc['bias']!r}")
-    return {"weights": _json_array(doc["weights"], "weights", np.float64), "bias": float(doc["bias"])}
+    bias = float(as_real(doc["bias"], "bias", "a finite number", lambda x: True))
+    return {"weights": _json_array(doc["weights"], "weights", np.float64), "bias": bias}
 
 
 def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
@@ -903,20 +885,16 @@ def load_model(source) -> Classifier:
     missing = [key for key in ("kind", "hyperparameters", "feature_length", "seed", "payload") if key not in doc]
     if missing:
         raise ModelFormatError(f"model document is missing fields: {missing}")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in DEFAULT_PARAMS:
-        raise ModelFormatError(f"unknown classifier kind {kind!r} in model document")
-    feature_length = doc["feature_length"]
-    if type(feature_length) is not int or feature_length < 1:
-        raise ModelFormatError(f"feature_length must be a positive integer, got {feature_length!r}")
     seed = doc["seed"]
     if type(seed) is not int:
         raise ModelFormatError(f"seed must be an integer, got {seed!r}")
+    kind = doc["kind"]
     try:
-        payload = _payload_from_jsonable(kind, doc["payload"])
         if not isinstance(doc["hyperparameters"], dict):
             raise TypeError("hyperparameters must be a JSON object")
-        _merged_params(kind, doc["hyperparameters"])
+        _merged_params(kind, doc["hyperparameters"])  # checks kind first
+        feature_length = as_int(doc["feature_length"], "feature_length", 1)
+        payload = _payload_from_jsonable(kind, doc["payload"])
         if doc.get("featurize_config") is not None:
             config_from_dict(doc["featurize_config"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -48,11 +48,9 @@ class CompletionConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_unit(self.epsilon, "epsilon"))
         if self.max_steps is not None:
-            object.__setattr__(self, "max_steps", as_int(self.max_steps, "max_steps"))
+            object.__setattr__(self, "max_steps", as_int(self.max_steps, "max_steps", 0))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.max_steps is not None and self.mode != "iterative":
             raise ValueError(f"max_steps applies to iterative mode only, got {self.max_steps} in mode {self.mode!r}")
 

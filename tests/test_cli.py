@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import inspect
 import json
 import os
@@ -235,6 +236,15 @@ def test_sweep_writes_expected_rows_and_manifest(clique_file, tmp_path, capsys):
     assert manifest["seeds"] == [7]
     assert manifest["parameters"]["a_max"] == 5
     assert len(manifest["input_digest"]) == 64
+
+
+@pytest.mark.parametrize("command", [["sweep", "--a-max", "1", "--b-max", "0", "--strategy", "degree"],
+                                     ["train", "--a", "1", "--b", "0"]], ids=["sweep", "train"])
+def test_the_manifest_digests_the_input_before_the_output_overwrites_it(clique_file, command):
+    want = hashlib.sha256(clique_file.read_bytes()).hexdigest()
+    assert main([command[0], str(clique_file), *command[1:], "--out", str(clique_file)]) == 0
+    manifest = json.loads(clique_file.with_name(clique_file.name + ".manifest.json").read_text())
+    assert manifest["input_digest"] == want
 
 
 def test_sweep_determinism_and_thread_equivalence(clique_file, tmp_path):

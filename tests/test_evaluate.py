@@ -41,6 +41,10 @@ def test_confusion_validation():
         confusion([1, 0], [1])
     with pytest.raises(ValueError):
         confusion([1, 2], [1, 0])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        confusion([0.7, 1], [1, 1])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        confusion([1, 1], [1.9, 0])
 
 
 # Paper-style integer count fixtures chosen so tp/(tp+fp) and tp/(tp+fn)
@@ -164,6 +168,20 @@ def test_score_rows_refuses_a_threshold_outside_the_unit_interval(threshold):
 def test_sweep_refuses_an_option_fit_does_not_take_before_any_training(two_k6, train_calls, options):
     with pytest.raises(TypeError, match="unexpected keyword arguments"):
         sweep(two_k6, 1, 0, ["degree"], [1], **options)
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"classifier": "forrest"}, "unknown classifier kind 'forrest'"),
+    ({"classifier_params": {"tree_count": 0}}, "tree_count must be >= 1"),
+    ({"classifier": "logistic", "classifier_params": {"tree_count": 3}}, "unknown logistic hyperparameter"),
+    ({"test_fraction": 1.5}, "test_fraction must be in"),
+    ({"balance_ratio": 0.0}, "negative_ratio must be a finite number > 0"),
+], ids=["classifier", "hyperparameter-value", "hyperparameter-name", "test_fraction", "balance_ratio"])
+def test_sweep_refuses_an_option_value_every_cell_would_refuse_before_any_training(two_k6, train_calls, options,
+                                                                                    message):
+    with pytest.raises(ValueError, match=message):
+        sweep(two_k6, 2, 2, ["degree", "random"], [1, 2], **options)
     assert train_calls == []
 
 

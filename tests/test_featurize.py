@@ -45,6 +45,12 @@ def test_config_validation_and_lengths():
     assert degree_cfg(2, 1).row_length == 14
 
 
+@pytest.mark.parametrize("strategy", ["degree", None, ("degree", None)], ids=["str", "None", "tuple"])
+def test_config_refuses_a_strategy_that_is_not_a_strategy(strategy):
+    with pytest.raises(ValueError, match="strategy must be a Strategy"):
+        FeatureConfig(a=1, b=0, strategy=strategy)
+
+
 def test_triangle_hand_trace():
     g = complete_graph(3)
     row = create_pair_features(g, 1, 2, degree_cfg(1, 0))

@@ -132,6 +132,13 @@ def test_predict_label_threshold_semantics():
     assert predict_label(clf, [1.0], threshold=0.0) == 1
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 2.0])
+def test_predict_label_refuses_a_threshold_outside_the_unit_interval(threshold):
+    clf = train([[1.0], [9.0]], [0, 1], kind="tree")
+    with pytest.raises(ValueError, match="threshold must be a number in"):
+        predict_label(clf, [9.0], threshold)
+
+
 def test_threshold_monotonicity(clique_split):
     clf = train(clique_split.Xtrain, clique_split.ytrain, seed=4)
     scores = predict_scores(clf, clique_split.Xtest)

@@ -1,11 +1,14 @@
 """Every writer accepts a path or an open stream: both give the same bytes,
 and a stream the caller passed in stays open. Readers close what they open."""
 
+import ast
 import builtins
 import io
+from pathlib import Path
 
 import pytest
 
+import ab_linkpred
 from ab_linkpred import (
     EdgeListParseError,
     FeatureConfig,
@@ -88,3 +91,18 @@ def test_load_model_reads_a_path_a_stream_or_a_document_alike(parts, tmp_path):
     for source in (path, str(path), binary, text, data, data.decode()):
         assert save_model(load_model(source)) == data
     assert not binary.closed and not text.closed
+
+
+def test_no_module_but_streams_calls_the_builtin_open():
+    """_streams.open_stream is the one place a path is opened."""
+    src = Path(ab_linkpred.__file__).parent
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py")) if path.name != "_streams.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("builtins", "io")))
+    ]
+    assert callers == []
