@@ -59,6 +59,26 @@ def degree_centrality(g: Graph) -> CentralityTable:
     return CentralityTable("degree", values)
 
 
+def _component_sizes(g: Graph) -> np.ndarray:
+    """The size of each node's connected component, indexed by 0-based node
+    as in _searches: one O(n + m) pass over the adjacency lists."""
+    component = [0] * (g.node_count + 1)  # 1-based component number, 0 until reached
+    sizes = [0]
+    for root in range(1, g.node_count + 1):
+        if component[root]:
+            continue
+        sizes.append(0)
+        component[root] = len(sizes) - 1
+        stack = [root]
+        while stack:
+            sizes[-1] += 1
+            for u in g.neighbors(stack.pop()):
+                if not component[u]:
+                    component[u] = component[root]
+                    stack.append(u)
+    return np.array(sizes)[component[1:]]
+
+
 def _searches(g: Graph):
     """The shortest-path pass that betweenness and closeness both read.
 
@@ -71,18 +91,28 @@ def _searches(g: Graph):
     (predecessor, successor) indexes of the edges between consecutive
     levels, and the flat path counts sigma and distances dist (-1 where
     unreached).
+
+    A block stops once its sources have reached their whole components:
+    it counts the keys still to reach, the sum of its sources' component
+    sizes less one each, and ends the level loop at 0. Expanding the last
+    level could only find nothing, yet on a small-world graph it is the
+    largest: every fixture source reaches all 333 nodes by level 2, and
+    expanding level 2 took about 70% of the pass. On a path or a grid the
+    last level is small, so the stop saves little there.
     """
     n = g.node_count
     adj = [g.neighbors(v) for v in range(1, n + 1)]
     indptr = np.cumsum([0] + [len(a) for a in adj])  # CSR over 0-based nodes
     indices = np.array([u - 1 for a in adj for u in a], dtype=np.int64)
+    sizes = _component_sizes(g)
     for lo in range(0, n, _BLOCK):
         keys = np.arange(min(_BLOCK, n - lo)) * (n + 1) + lo
         dist = np.full(len(keys) * n, -1, dtype=np.int64)
         sigma = np.zeros(len(keys) * n)
         dist[keys], sigma[keys] = 0, 1.0
         levels, edges = [keys], []
-        while True:
+        unreached = int(sizes[lo:lo + len(keys)].sum()) - len(keys)
+        while unreached > 0:
             # One entry per edge at this level's nodes: the index i of its
             # key, and the neighbor's key in the same row.
             rows, nodes = np.divmod(keys, n)
@@ -99,6 +129,7 @@ def _searches(g: Graph):
             sigma[keys] = np.bincount(slot, weights=sigma[levels[-1]][i[fresh]], minlength=len(keys))
             dist[keys] = len(levels)
             levels.append(keys)
+            unreached -= len(keys)
         yield lo, levels, edges, sigma, dist
 
 

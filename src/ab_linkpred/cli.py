@@ -16,16 +16,17 @@ import argparse
 import hashlib
 import inspect
 import json
-import math
 import sys
 import time
 
 from . import __version__
+from ._seeds import as_int, as_unit
 from ._streams import open_stream
-from .centrality import MEASURES, STRATEGY_KINDS, _ranked, centrality_table
+from .centrality import MEASURES, STRATEGY_KINDS, Strategy, _ranked, centrality_table
 from .evaluate import (
     SweepCell,
     SweepResult,
+    _as_grid_max,
     cell_config,
     export_csv,
     fit,
@@ -35,6 +36,7 @@ from .evaluate import (
     score_rows,
     sweep,
 )
+from .featurize import _as_ratio, _as_test_fraction
 from .graph import load_edge_list, stats
 from .model import DEFAULT_PARAMS, load_model, save_model
 from .predict import MODES, CompletionConfig, complete
@@ -51,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked(cast, want: str, ok=lambda value: True, *, many: bool = False):
+def _checked(cast, want: str, rule=lambda value: value, *, many: bool = False):
     """An argparse type= converter: cast the text (each item of a
-    comma-separated list when many) and check every value with ok. A bad
-    value is a usage error raised while parsing, before any file is read.
-    argparse also converts a string default."""
+    comma-separated list when many), which must read as want, and pass every
+    value through rule, the library's own check of it, which returns the
+    value or raises ValueError. A bad value is a usage error raised while
+    parsing, before any file is read. argparse also converts a string
+    default."""
 
     def convert(text: str):
         parts = [part.strip() for part in text.split(",") if part.strip()] if many else [text]
@@ -63,19 +67,26 @@ def _checked(cast, want: str, ok=lambda value: True, *, many: bool = False):
             values = [cast(part) for part in parts]
         except ValueError:
             values = []
-        if not values or not all(ok(value) for value in values):
+        if not values:
             raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        try:
+            values = [rule(value) for value in values]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         return values if many else values[0]
 
     return convert
 
 
-_AT_LEAST_1 = _checked(int, "an integer >= 1", lambda n: n >= 1)
-_AT_LEAST_0 = _checked(int, "an integer >= 0", lambda n: n >= 0)
-_UNIT = _checked(float, "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
-_FRACTION = _checked(float, "a number in (0, 1)", lambda x: 0.0 < x < 1.0)
-_POSITIVE = _checked(float, "a finite number > 0", lambda x: 0.0 < x < math.inf)
-_STRATEGIES = _checked(str, "strategies from " + ",".join(STRATEGY_KINDS), lambda k: k in STRATEGY_KINDS, many=True)
+_AT_LEAST_1 = _checked(int, "an integer", lambda n: as_int(n, "value", 1))
+_AT_LEAST_0 = _checked(int, "an integer", lambda n: as_int(n, "value", 0))
+_A_MAX = _checked(int, "an integer", lambda n: _as_grid_max(n, "a_max", 1))
+_B_MAX = _checked(int, "an integer", lambda n: _as_grid_max(n, "b_max", 0))
+_UNIT = _checked(float, "a number", lambda x: as_unit(x, "value"))
+_FRACTION = _checked(float, "a number", _as_test_fraction)
+_POSITIVE = _checked(float, "a number", _as_ratio)
+# Any seed will do: Strategy only needs one to accept the random kind.
+_STRATEGIES = _checked(str, "comma-separated strategies", lambda kind: Strategy(kind, seed=0).kind, many=True)
 _SEEDS = _checked(int, "comma-separated integers", many=True)
 
 
@@ -304,8 +315,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run the full (a, b) grid and write a CSV")
     p.add_argument("graph")
-    p.add_argument("--a-max", type=_AT_LEAST_1, default=5)
-    p.add_argument("--b-max", type=_AT_LEAST_0, default=5)
+    p.add_argument("--a-max", type=_A_MAX, default=5)
+    p.add_argument("--b-max", type=_B_MAX, default=5)
     p.add_argument("--strategy", type=_STRATEGIES, default="degree,betweenness,random",
                    help="comma-separated strategies")
     p.add_argument("--seeds", type=_SEEDS, default=str(DEFAULT_SEED), help="comma-separated seeds (default 42)")

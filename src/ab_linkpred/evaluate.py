@@ -9,6 +9,7 @@ reproducible whatever the number of CPUs its forests are grown on.
 from __future__ import annotations
 
 import csv
+import sys
 import time
 from dataclasses import dataclass
 from inspect import signature
@@ -161,6 +162,16 @@ class SweepResult:
     cells: list[SweepCell]
 
 
+def _as_grid_max(value, name: str, low: int) -> int:
+    """a_max (low 1) or b_max (low 0) checked: an integer >= low (see
+    as_int) whose grid axis range(low, value + 1) has a length that
+    itertools.product can hold, at most sys.maxsize."""
+    value = as_int(value, name, low)
+    if value - low >= sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize + low - 1} to enumerate the grid, got {value}")
+    return value
+
+
 def sweep(
     g: Graph,
     a_max: int,
@@ -180,9 +191,10 @@ def sweep(
     except table. Those and threshold are checked before the first cell: an
     unknown option is a TypeError, and a bad threshold or an option value
     every cell would refuse (by the rules of train, balanced_dataset and
-    split) a ValueError, at the call. A cell that fails records
-    "ExceptionType: message" as its error, in place, and the sweep
-    continues. Centrality tables are computed once per measure and shared.
+    split) a ValueError, at the call, as is an a_max or b_max past the
+    index range. A cell that fails records "ExceptionType: message" as its
+    error, in place, and the sweep continues. Centrality tables are
+    computed once per measure and shared.
     threads is accepted for compatibility, to no effect.
     """
     threshold = as_unit(threshold, "threshold")
@@ -195,7 +207,7 @@ def sweep(
     if options.arguments["balance_ratio"] is not None:
         _as_ratio(options.arguments["balance_ratio"])
     _as_test_fraction(options.arguments["test_fraction"])
-    a_max, b_max = as_int(a_max, "a_max", 1), as_int(b_max, "b_max", 0)
+    a_max, b_max = _as_grid_max(a_max, "a_max", 1), _as_grid_max(b_max, "b_max", 0)
     strategies = list(strategies)
     seeds = list(seeds)
     tables = {kind: table_for(g, Strategy(kind)) for kind in set(strategies) if kind != "random"}

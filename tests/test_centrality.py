@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from ab_linkpred import (
     neighbor_orders,
     ordered_neighbors,
 )
-from ab_linkpred.centrality import MEASURES, CentralityTable
+from ab_linkpred.centrality import MEASURES, CentralityTable, _component_sizes
 
 from graphgen import (
+    community_edges,
     complete_bipartite_edges,
     complete_graph,
     cycle_edges,
+    gnm_edges,
     gnp_edges,
     graph_from_edges,
     grid_edges,
@@ -88,6 +92,91 @@ def test_measures_on_a_long_path_across_source_blocks():
     for k in range(1, n + 1):
         assert bc[k] == (k - 1) * (n - k)
         assert cc[k] == (n - 1) / ((k - 1) * k // 2 + (n - k) * (n - k + 1) // 2)
+
+
+def _two_communities_with_strays() -> Graph:
+    """Two random communities of 150 and 100 nodes, a stray edge and eight
+    isolated nodes: components of five sizes, with node IDs shuffled so
+    each source block mixes them."""
+    labels = list(range(260))
+    random.Random(11).shuffle(labels)
+    g = Graph()
+    for label in labels:
+        g.intern(str(label))
+    edges = gnm_edges(150, 600, seed=4) + [(u + 150, v + 150) for u, v in gnm_edges(100, 300, seed=5)] + [(251, 252)]
+    for u, v in edges:
+        g.add_edge(g.id_map[str(u - 1)], g.id_map[str(v - 1)])
+    return g
+
+
+def _no_edges() -> Graph:
+    g = Graph()
+    for label in "abcde":
+        g.intern(label)
+    return g
+
+
+GOLDEN_GRAPHS = {
+    "fixture": lambda: graph_from_edges(community_edges(333, 2519, 9, seed=3)),
+    "two_communities": _two_communities_with_strays,
+    "path_50": lambda: path_graph(50),
+    "star_20": lambda: star_graph(20),
+    "no_edges": _no_edges,
+}
+
+# sha256 of repr(table.values), as the shortest-path pass gave them while it
+# still expanded each block's last level; stopping before it must not change
+# a bit.
+GOLDEN_TABLE_DIGESTS = {
+    ("betweenness", "fixture"): "d34eef068ce3c99031f5f77cebc899bf06457c336100e12e6ccb6804651ba59c",
+    ("betweenness", "no_edges"): "b0e305ab73fcc227670292a0e26b5b1da482eedfe66bfedc12ef238a90586388",
+    ("betweenness", "path_50"): "df3ddcc562bc352321aaf55c67e777128be0654038a01bc9904a11206342e241",
+    ("betweenness", "star_20"): "8709e600886120f868946d39f713ae7e780748045fa3b453e08a08cfe402f47b",
+    ("betweenness", "two_communities"): "b5fe5efbb69243120db5737947c5ff723033e0c950caf3d28aaa5a2f26f13c56",
+    ("closeness", "fixture"): "a3efdae0f989fc731b190a1afe313d7672b65f5d6360ed1f71bd5216f1e57859",
+    ("closeness", "no_edges"): "b0e305ab73fcc227670292a0e26b5b1da482eedfe66bfedc12ef238a90586388",
+    ("closeness", "path_50"): "c5faea94be1594121ee4af632a93bcf109746ab1232833f94329f4c29a2ae755",
+    ("closeness", "star_20"): "6d4eaa1ff06def5c958055a0e375e51bf84abc85233bf821a6cf97a7527905e0",
+    ("closeness", "two_communities"): "26ecd4c0ca983ab3ffc03e4d901cec826e7133b93e774366b2c0831c216e830e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+@pytest.mark.parametrize("measure", ["betweenness", "closeness"])
+def test_tables_match_golden_digests(measure, name):
+    values = centrality_table(GOLDEN_GRAPHS[name](), measure).values
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[measure, name]
+
+
+def test_betweenness_on_the_fixture_traces_a_small_peak(g333):
+    """One block's level arrays, without a last expansion that finds no
+    new node (23.5 MB traced when the pass still ran it; 7.8 MB without)."""
+    tracemalloc.start()
+    try:
+        betweenness_centrality(g333)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def _bfs_component_size(g: Graph, v: int) -> int:
+    seen, frontier = {v}, [v]
+    while frontier:
+        frontier = [u for w in frontier for u in g.neighbors(w) if u not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+def test_component_sizes_match_a_plain_bfs():
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = graph_from_edges(gnp_edges(rng.randint(2, 40), rng.uniform(0.0, 0.15), seed) or [(1, 2)])
+        for label in range(rng.randint(0, 3)):
+            g.intern(f"isolated{label}")
+        sizes = _component_sizes(g)
+        assert len(sizes) == g.node_count
+        assert sizes.tolist() == [_bfs_component_size(g, v) for v in range(1, g.node_count + 1)]
 
 
 def _seeded_gnp_edges(seed):

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import inspect
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 import ab_linkpred
 
 from ab_linkpred import FeatureConfig, Strategy, balanced_dataset, load_model, save_model, split, train
+from ab_linkpred import cli
+from ab_linkpred._seeds import as_int, as_unit
 from ab_linkpred.cli import _build_parser, main
-from ab_linkpred.evaluate import export_csv, fit
-from ab_linkpred.featurize import config_to_dict
+from ab_linkpred.evaluate import _as_grid_max, export_csv, fit
+from ab_linkpred.featurize import _as_ratio, _as_test_fraction, config_to_dict
 
 from graphgen import community_edges, edge_text, gnm_edges, two_cliques_edges
 
@@ -347,6 +350,42 @@ def test_bad_flag_value_exits_1_before_reading_or_writing(bad_flag_inputs, tmp_p
         assert main(argv) == 1, argv
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_with_an_a_max_past_the_index_range_exits_1_with_one_error_line(clique_file, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(clique_file), "--a-max", "1" + "0" * 400, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: argument --a-max: a_max must be at most ")
+    assert not out.exists()
+
+
+# Each flag converter and the library rule it must apply, after its cast.
+CONVERTER_RULES = {
+    "_AT_LEAST_1": (int, lambda n: as_int(n, "n", 1)),
+    "_AT_LEAST_0": (int, lambda n: as_int(n, "n", 0)),
+    "_A_MAX": (int, lambda n: _as_grid_max(n, "a_max", 1)),
+    "_B_MAX": (int, lambda n: _as_grid_max(n, "b_max", 0)),
+    "_UNIT": (float, lambda x: as_unit(x, "x")),
+    "_FRACTION": (float, _as_test_fraction),
+    "_POSITIVE": (float, _as_ratio),
+}
+
+
+@pytest.mark.parametrize("text", ["0", "1", "0.5", "-1", "nan", "inf", "1e400", "-0.0"])
+@pytest.mark.parametrize("name", sorted(CONVERTER_RULES))
+def test_a_flag_converter_accepts_a_text_exactly_when_its_library_rule_accepts_the_value(name, text):
+    cast, rule = CONVERTER_RULES[name]
+    convert = getattr(cli, name)
+    try:
+        want = rule(cast(text))
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError):
+            convert(text)
+        return
+    assert repr(convert(text)) == repr(want)  # the same type, and -0.0 kept
 
 
 def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dying_forest_workers):

@@ -260,6 +260,19 @@ def test_sweep_grid_bounds_must_be_integers(a_max, b_max):
         sweep(g, a_max, b_max, ["degree"], [1])
 
 
+@pytest.mark.parametrize("a_max,b_max,name", [(10**400, 0, "a_max"), (sys.maxsize + 1, 0, "a_max"),
+                                              (1, 10**400, "b_max"), (1, sys.maxsize, "b_max")])
+def test_sweep_refuses_a_grid_past_the_index_range_before_any_training(two_k6, train_calls, a_max, b_max, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be at most \d+ to enumerate the grid"):
+        sweep(two_k6, a_max, b_max, ["degree"], [1])
+    assert train_calls == []
+
+
+def test_the_largest_grid_bounds_are_ones_product_can_size():
+    assert len(range(1, evaluate._as_grid_max(sys.maxsize, "a_max", 1) + 1)) == sys.maxsize
+    assert len(range(0, evaluate._as_grid_max(sys.maxsize - 1, "b_max", 0) + 1)) == sys.maxsize
+
+
 def test_sweep_records_cell_failures_and_continues():
     # a single-edge graph has one positive row: splitting needs two per
     # class, so the cell fails but the sweep still yields its full grid

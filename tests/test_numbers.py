@@ -2,7 +2,8 @@
 counts and seeds, as_real for real numbers (as_unit for thresholds). A bool,
 a string, NaN and an infinity are refused with a ValueError that names the
 option, and so is an integer beyond the float range where a real number is
-wanted; a numpy number is kept as a Python int or float."""
+wanted, or beyond the index range where it bounds a sweep's grid; a numpy
+number is kept as a Python int or float."""
 
 import math
 from types import SimpleNamespace
@@ -46,14 +47,17 @@ INTEGER_OPTIONS = [
     ("a", lambda ctx, v: FeatureConfig(a=v, b=0, strategy=Strategy("degree")).a),
     ("b", lambda ctx, v: FeatureConfig(a=1, b=v, strategy=Strategy("degree")).b),
     ("seed", lambda ctx, v: FeatureConfig(a=1, b=0, strategy=Strategy("degree"), seed=v).seed),
-    ("a_max", lambda ctx, v: _sweep_pools(ctx, v, 0)[0][-1]),
-    ("b_max", lambda ctx, v: _sweep_pools(ctx, 1, v)[1][-1]),
     ("max_steps", lambda ctx, v: CompletionConfig(epsilon=0.5, mode="iterative", max_steps=v).max_steps),
     ("tree_count", _forest("tree_count")),
     ("min_leaf", _forest("min_leaf")),
     ("max_depth", _forest("max_depth")),
     ("feature_subsample", _forest("feature_subsample")),
     ("epochs", _logistic("epochs")),
+]
+# The grid's axis bounds, whose ranges itertools.product must be able to size.
+GRID_OPTIONS = [
+    ("a_max", lambda ctx, v: _sweep_pools(ctx, v, 0)[0][-1]),
+    ("b_max", lambda ctx, v: _sweep_pools(ctx, 1, v)[1][-1]),
 ]
 REAL_OPTIONS = [
     ("learning_rate", _logistic("learning_rate")),
@@ -75,6 +79,7 @@ def _cases(options, values):
 # (value id, value, the value kept); None is a ValueError naming the option.
 REFUSED = [("bool", True, None), ("str", "1", None), ("nan", math.nan, None), ("inf", math.inf, None)]
 CASES = (_cases(INTEGER_OPTIONS, REFUSED + [("10**400", 10**400, 10**400), ("numpy", np.int64(2), 2)])
+         + _cases(GRID_OPTIONS, REFUSED + [("10**400", 10**400, None), ("numpy", np.int64(2), 2)])
          + _cases(REAL_OPTIONS, REFUSED + [("10**400", 10**400, None), ("numpy", np.float64(0.5), 0.5)]))
 
 
