@@ -1,13 +1,16 @@
 """Command-line entry point: stats, centrality, sweep, train, eval, complete.
 
 Exit codes: 0 success, 1 usage error, 2 data or model error. Any flag value
-that is out of range or conflicts with another flag is a usage error, and
-flags are checked before any file is read. Diagnostics go to stderr;
-machine-readable output (CSV, SVG, JSON, completion edges) goes to files,
-or to stdout only where a subcommand defines it. Every output file gets a
+that is out of range or conflicts with another flag is a usage error, and so
+is an output path that names an input or another output, or whose directory
+is missing; flags and output paths are checked before any file is read.
+Each input file is read once. Diagnostics go to stderr; machine-readable
+output (CSV, SVG, JSON, completion edges) goes to files, or to stdout only
+where a subcommand defines it. Every output file gets a
 ``<file>.manifest.json`` sidecar recording the resolved parameters, seeds,
-input digest, tool version, and wall time; a completion manifest also lists
-each step's scored non-edges and added edges.
+the sha256 of the graph bytes the run parsed, tool version, and wall time;
+a completion manifest also lists each step's scored non-edges and added
+edges.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import io
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from ._seeds import as_int, as_unit
@@ -36,12 +42,10 @@ from .evaluate import (
     score_rows,
     sweep,
 )
-from .featurize import _as_ratio, _as_test_fraction
-from .graph import load_edge_list, stats
-from .model import DEFAULT_PARAMS, load_model, save_model
+from .featurize import FeatureConfig, _as_ratio, _as_test_fraction
+from .graph import Graph, load_edge_list, stats
+from .model import DEFAULT_PARAMS, DEFAULT_THRESHOLD, load_model, save_model
 from .predict import MODES, CompletionConfig, complete
-
-DEFAULT_SEED = 42
 
 
 class UsageError(Exception):
@@ -90,12 +94,29 @@ _STRATEGIES = _checked(str, "comma-separated strategies", lambda kind: Strategy(
 _SEEDS = _checked(int, "comma-separated integers", many=True)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open_stream(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _load_graph(path: str) -> tuple[Graph, str]:
+    """The graph in the file at path, and the sha256 of the bytes it was
+    parsed from. The file is read once, so the digest is that of the graph
+    the run used, even from a pipe, and it is taken before any output is
+    written. The bytes decode as open(path, encoding="utf-8") decodes them."""
+    data = Path(path).read_bytes()
+    return load_edge_list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")), hashlib.sha256(data).hexdigest()
+
+
+def _check_outputs(inputs: list[str], outputs: list[str | None]) -> None:
+    """Refuse, as a usage error raised before any file is read, an output or
+    its manifest sidecar that names an input or another output, or whose
+    directory is missing. Two paths name one file when they resolve to the
+    same path or, where both exist, are the same file."""
+    taken = list(inputs)
+    for path in [str(out) + suffix for out in outputs if out for suffix in ("", ".manifest.json")]:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"cannot write {path}: its directory does not exist")
+        for other in taken:
+            if os.path.realpath(path) == os.path.realpath(other) or (
+                    os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+                raise UsageError(f"cannot write {path}: it would overwrite {other}")
+        taken.append(path)
 
 
 def _fit_options(args) -> dict:
@@ -122,8 +143,8 @@ def _pipeline_params(args) -> dict:
 def _write_manifest(
     out_path: str, subcommand: str, params: dict, seeds: list[int], input_digest: str, wall_s: float, extra: dict | None = None
 ) -> None:
-    """Write out_path's manifest sidecar. input_digest is taken before the
-    command writes any output, which may overwrite its input."""
+    """Write out_path's manifest sidecar. input_digest is the sha256 of the
+    graph bytes the run parsed (see _load_graph)."""
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -143,7 +164,7 @@ def _write_manifest(
 
 
 def _cmd_stats(args) -> int:
-    g = load_edge_list(args.graph)
+    g, _ = _load_graph(args.graph)
     s = stats(g)
     if g.skipped_self_loops:
         print(f"skipped {g.skipped_self_loops} self-loop line(s)", file=sys.stderr)
@@ -152,7 +173,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    g = load_edge_list(args.graph)
+    g, _ = _load_graph(args.graph)
     table = centrality_table(g, args.measure)
     for v in _ranked(table, range(1, g.node_count + 1))[: args.top]:
         print(f"{g.labels[v]} {table.values[v]:.6f}")
@@ -160,9 +181,9 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs([args.graph], [args.out, args.heatmap])
     start = time.perf_counter()
-    g = load_edge_list(args.graph)
-    digest = _sha256(args.graph)
+    g, digest = _load_graph(args.graph)
     result = sweep(
         g,
         args.a_max,
@@ -199,9 +220,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs([args.graph], [args.out])
     start = time.perf_counter()
-    g = load_edge_list(args.graph)
-    digest = _sha256(args.graph)
+    g, digest = _load_graph(args.graph)
     clf, parts = fit(
         g,
         cell_config(args.a, args.b, args.strategy, args.seed, args.mask_pair_edge),
@@ -220,7 +241,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = cell_config(args.a, args.b, args.strategy, args.seed, args.mask_pair_edge)
-    g = load_edge_list(args.graph)
+    g, _ = _load_graph(args.graph)
     options = _fit_options(args)
     runs = [("balanced", options.pop("balance_ratio"))]
     if not args.skip_unbalanced:
@@ -246,10 +267,10 @@ def _cmd_complete(args) -> int:
         cfg = CompletionConfig(epsilon=args.epsilon, mode=args.mode, max_steps=args.max_steps)
     except ValueError as err:  # a flag conflict, such as --max-steps outside iterative mode
         raise UsageError(str(err)) from None
+    _check_outputs([args.graph, args.model], [args.out])
     start = time.perf_counter()
-    clf = load_model(args.model)
-    g = load_edge_list(args.graph)
-    digest = _sha256(args.graph)
+    clf = load_model(Path(args.model).read_bytes())
+    g, digest = _load_graph(args.graph)
     trace = complete(g, clf, cfg)
     with open_stream(args.out, "w", encoding="utf-8") as f:
         for step, batch in enumerate(trace.batches, 1):
@@ -279,7 +300,8 @@ def _cmd_complete(args) -> int:
 # Parser wiring
 
 
-# fit owns the pipeline's defaults; the flags read theirs from it.
+# fit owns the pipeline's defaults; the flags read theirs from it, and the
+# seed and threshold defaults from FeatureConfig and model.DEFAULT_THRESHOLD.
 _FIT_DEFAULTS = {name: param.default for name, param in inspect.signature(fit).parameters.items()}
 
 
@@ -288,12 +310,13 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser, single_strategy: bool
         p.add_argument("--a", type=_AT_LEAST_1, required=True)
         p.add_argument("--b", type=_AT_LEAST_0, required=True)
         p.add_argument("--strategy", default="degree", choices=STRATEGY_KINDS, help="neighbor ordering")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="pipeline seed (default 42)")
+        p.add_argument("--seed", type=int, default=FeatureConfig.seed, help="pipeline seed (default %(default)s)")
     p.add_argument("--balance", type=_POSITIVE, default=_FIT_DEFAULTS["balance_ratio"],
                    help="negatives kept per positive (default %(default)s)")
     p.add_argument("--test-fraction", type=_FRACTION, default=_FIT_DEFAULTS["test_fraction"],
                    help="test share of rows (default %(default)s)")
-    p.add_argument("--threshold", type=_UNIT, default=0.5, help="positive-label score cutoff (default 0.5)")
+    p.add_argument("--threshold", type=_UNIT, default=DEFAULT_THRESHOLD,
+                   help="positive-label score cutoff (default %(default)s)")
     p.add_argument("--classifier", default=_FIT_DEFAULTS["classifier"], choices=tuple(DEFAULT_PARAMS))
     p.add_argument("--mask-pair-edge", action="store_true", help="hide the pair's own edge from its features")
 
@@ -319,7 +342,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--b-max", type=_B_MAX, default=5)
     p.add_argument("--strategy", type=_STRATEGIES, default="degree,betweenness,random",
                    help="comma-separated strategies")
-    p.add_argument("--seeds", type=_SEEDS, default=str(DEFAULT_SEED), help="comma-separated seeds (default 42)")
+    p.add_argument("--seeds", type=_SEEDS, default=str(FeatureConfig.seed),
+                   help="comma-separated seeds (default %(default)s)")
     _add_common_pipeline_flags(p, single_strategy=False)
     p.add_argument("--no-balance", action="store_true", help="keep every candidate pair")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -13,7 +13,6 @@ import sys
 import time
 from dataclasses import dataclass
 from inspect import signature
-from itertools import product
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .centrality import CentralityTable, Strategy, table_for
 from .featurize import (FeatureConfig, Split, _as_ratio, _as_test_fraction, balanced_dataset, build_dataset,
                         config_to_dict, split)
 from .graph import Graph
-from .model import Classifier, _as_labels, _merged_params, predict_scores, train
+from .model import DEFAULT_THRESHOLD, Classifier, _as_labels, _merged_params, predict_scores, train
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def cell_config(a: int, b: int, kind: str, seed: int, mask_pair_edge: bool = Fal
     return FeatureConfig(a=a, b=b, strategy=strategy, mask_pair_edge=mask_pair_edge, seed=seed)
 
 
-def score_rows(clf: Classifier, X, y, threshold: float = 0.5) -> MetricsReport:
+def score_rows(clf: Classifier, X, y, threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
     """Label rows X positive where clf scores them >= threshold, and count
     those labels against the true labels y. threshold must be a number in
     [0, 1] (see as_unit), else ValueError."""
@@ -136,7 +135,8 @@ def fit(
     return clf, parts
 
 
-def run_experiment(g: Graph, config: FeatureConfig, *, threshold: float = 0.5, **fit_options) -> MetricsReport:
+def run_experiment(g: Graph, config: FeatureConfig, *, threshold: float = DEFAULT_THRESHOLD,
+                   **fit_options) -> MetricsReport:
     """One full pipeline run: fit with fit_options (fit's keyword options),
     then score and count the test rows. threshold is checked before training."""
     threshold = as_unit(threshold, "threshold")
@@ -164,8 +164,9 @@ class SweepResult:
 
 def _as_grid_max(value, name: str, low: int) -> int:
     """a_max (low 1) or b_max (low 0) checked: an integer >= low (see
-    as_int) whose grid axis range(low, value + 1) has a length that
-    itertools.product can hold, at most sys.maxsize."""
+    as_int) whose grid axis range(low, value + 1) has at most sys.maxsize
+    values: a longer axis could never be walked to its end, since no list,
+    SweepResult.cells included, holds more than sys.maxsize cells."""
     value = as_int(value, name, low)
     if value - low >= sys.maxsize:
         raise ValueError(f"{name} must be at most {sys.maxsize + low - 1} to enumerate the grid, got {value}")
@@ -179,7 +180,7 @@ def sweep(
     strategies,
     seeds,
     *,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
     mask_pair_edge: bool = False,
     threads: int = 1,
     **fit_options,
@@ -187,14 +188,17 @@ def sweep(
     """Run every cell of the grid a in 1..a_max, b in 0..b_max, one after
     another in the calling thread, in canonical (a, b, strategy, seed) order.
 
-    Every cell runs run_experiment with fit_options, fit's keyword options
-    except table. Those and threshold are checked before the first cell: an
-    unknown option is a TypeError, and a bad threshold or an option value
-    every cell would refuse (by the rules of train, balanced_dataset and
-    split) a ValueError, at the call, as is an a_max or b_max past the
-    index range. A cell that fails records "ExceptionType: message" as its
-    error, in place, and the sweep continues. Centrality tables are
-    computed once per measure and shared.
+    strategies and seeds may be any iterables; each is taken once. Every
+    cell runs run_experiment with fit_options, fit's keyword options except
+    table. Those, threshold, each seed and each strategy are checked before
+    the first cell: an unknown option is a TypeError, and a bad threshold,
+    seed or strategy, or an option value every cell would refuse (by the
+    rules of train, balanced_dataset and split) a ValueError, at the call,
+    as is an a_max or b_max past the index range. The grid is walked
+    lazily, so its size costs nothing until its cells run, and an empty
+    strategy or seed list gives no cells at once. A cell that fails records
+    "ExceptionType: message" as its error, in place, and the sweep
+    continues. Centrality tables are computed once per measure and shared.
     threads is accepted for compatibility, to no effect.
     """
     threshold = as_unit(threshold, "threshold")
@@ -208,16 +212,20 @@ def sweep(
         _as_ratio(options.arguments["balance_ratio"])
     _as_test_fraction(options.arguments["test_fraction"])
     a_max, b_max = _as_grid_max(a_max, "a_max", 1), _as_grid_max(b_max, "b_max", 0)
+    seeds = sorted(as_int(seed, "seed") for seed in seeds)
     strategies = list(strategies)
-    seeds = list(seeds)
-    tables = {kind: table_for(g, Strategy(kind)) for kind in set(strategies) if kind != "random"}
+    # Any seed will do: Strategy only needs one to accept the random kind.
+    tables = {kind: table_for(g, Strategy(kind, seed=0)) for kind in set(strategies)}
+    strategies.sort()
 
     cells = []
-    for a, b, kind, seed in sorted(product(range(1, a_max + 1), range(0, b_max + 1), strategies, seeds)):
-        config = cell_config(a, b, kind, seed, mask_pair_edge)
+    grid = ((a, b, kind, seed) for a in range(1, a_max + 1) for b in range(b_max + 1)
+            for kind in strategies for seed in seeds)
+    for a, b, kind, seed in grid if strategies and seeds else ():
         start = time.perf_counter()
         try:
-            report = run_experiment(g, config, threshold=threshold, table=tables.get(kind), **fit_options)
+            config = cell_config(a, b, kind, seed, mask_pair_edge)
+            report = run_experiment(g, config, threshold=threshold, table=tables[kind], **fit_options)
             error = None
         except Exception as err:  # cell isolation: any stage failure is recorded
             report = None

@@ -60,6 +60,10 @@ DEFAULT_PARAMS = {
     "logistic": {"learning_rate": 0.01, "epochs": 200, "l2": 0.0},
 }
 
+# The score at or above which a row is labeled positive, unless a caller
+# passes its own threshold.
+DEFAULT_THRESHOLD = 0.5
+
 
 class ModelFormatError(ValueError):
     """A model document that cannot be loaded (corrupt, truncated, wrong version)."""
@@ -752,7 +756,7 @@ def predict_score(c: Classifier, x) -> float:
     return float(predict_scores(c, [list(x)])[0])
 
 
-def predict_label(c: Classifier, x, threshold: float = 0.5) -> int:
+def predict_label(c: Classifier, x, threshold: float = DEFAULT_THRESHOLD) -> int:
     """1 when the score clears the threshold (inclusive), else 0. threshold
     must be a number in [0, 1] (see as_unit), else ValueError."""
     threshold = as_unit(threshold, "threshold")

@@ -17,7 +17,7 @@ from ab_linkpred import FeatureConfig, Strategy, balanced_dataset, load_model, s
 from ab_linkpred import cli
 from ab_linkpred._seeds import as_int, as_unit
 from ab_linkpred.cli import _build_parser, main
-from ab_linkpred.evaluate import _as_grid_max, export_csv, fit
+from ab_linkpred.evaluate import _as_grid_max, export_csv, fit, run_experiment
 from ab_linkpred.featurize import _as_ratio, _as_test_fraction, config_to_dict
 
 from graphgen import community_edges, edge_text, gnm_edges, two_cliques_edges
@@ -37,12 +37,18 @@ def gnm_file(tmp_path):
     return path
 
 
-def run_module(*args, module="ab_linkpred"):
-    """`python -m MODULE ARGS` in a fresh interpreter, killed after 60 s."""
+def run_python(*args, input=None):
+    """`python ARGS` in a fresh interpreter that can import ab_linkpred, fed
+    input on stdin, killed after 60 s."""
     src = os.path.dirname(os.path.dirname(ab_linkpred.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", module, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          input=input, capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*args, module="ab_linkpred", input=None):
+    """`python -m MODULE ARGS`, as run_python runs it."""
+    return run_python("-m", module, *args, input=input)
 
 
 def strip_wall_ms(csv_text):
@@ -58,6 +64,8 @@ def test_pipeline_flag_defaults_are_fits(command):
     defaults = {name: param.default for name, param in inspect.signature(fit).parameters.items()}
     assert (args.balance, args.test_fraction, args.classifier) == (
         defaults["balance_ratio"], defaults["test_fraction"], defaults["classifier"])
+    assert args.threshold == inspect.signature(run_experiment).parameters["threshold"].default
+    assert (args.seeds if command[0] == "sweep" else [args.seed]) == [FeatureConfig.seed]
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -244,10 +252,81 @@ def test_sweep_writes_expected_rows_and_manifest(clique_file, tmp_path, capsys):
 @pytest.mark.parametrize("command", [["sweep", "--a-max", "1", "--b-max", "0", "--strategy", "degree"],
                                      ["train", "--a", "1", "--b", "0"]], ids=["sweep", "train"])
 def test_the_manifest_digests_the_input_before_the_output_overwrites_it(clique_file, command):
-    want = hashlib.sha256(clique_file.read_bytes()).hexdigest()
-    assert main([command[0], str(clique_file), *command[1:], "--out", str(clique_file)]) == 0
-    manifest = json.loads(clique_file.with_name(clique_file.name + ".manifest.json").read_text())
-    assert manifest["input_digest"] == want
+    """No output may overwrite the input: the run is refused before it reads
+    the graph, so no manifest ever digests a graph the run replaced."""
+    graph = clique_file.read_bytes()
+    assert main([command[0], str(clique_file), *command[1:], "--out", str(clique_file)]) == 1
+    assert clique_file.read_bytes() == graph
+    assert not clique_file.with_name(clique_file.name + ".manifest.json").exists()
+
+
+def test_a_graph_piped_to_train_is_digested_from_the_bytes_it_parsed(clique_file, tmp_path):
+    model = tmp_path / "m.json"
+    run = run_module("train", "/dev/stdin", "--a", "1", "--b", "0", "--out", model, input=clique_file.read_text())
+    assert run.returncode == 0, run.stderr
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["input_digest"] == hashlib.sha256(clique_file.read_bytes()).hexdigest()
+
+
+def test_complete_reads_a_model_path_that_starts_with_a_brace(clique_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--out", "{m}.json"]) == 0
+    assert main(["complete", str(clique_file), "--model", "{m}.json", "--epsilon", "0.5", "--out", "added.txt"]) == 0
+    assert (tmp_path / "added.txt.manifest.json").exists()
+
+
+# Runs the CLI on sys.argv[1:] and prints its exit code and how many times
+# it opened the file named by sys.argv[2], the graph, as counted by an audit hook.
+COUNT_GRAPH_OPENS = """
+import sys
+from ab_linkpred.cli import main
+opens = []
+sys.addaudithook(lambda event, args: event == "open" and str(args[0]) == sys.argv[2] and opens.append(args))
+print(main(sys.argv[1:]), len(opens))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--a", "1", "--b", "0", "--out", "m2.json"],
+    ["sweep", "--a-max", "1", "--b-max", "0", "--strategy", "degree", "--out", "s.csv", "--heatmap", "s.svg"],
+    ["complete", "--model", "m.json", "--epsilon", "0.5", "--out", "added.txt"],
+], ids=["train", "sweep", "complete"])
+def test_a_run_opens_its_graph_file_once(clique_file, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--out", "m.json"]) == 0
+    run = run_python("-c", COUNT_GRAPH_OPENS, command[0], clique_file, *command[1:])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "1"]
+
+
+# The refused runs other than --out naming the graph, which the manifest test above covers.
+REFUSED_OUTPUTS = {
+    "train_out_hard_link_to_graph": ["train", "GRAPH", "--a", "1", "--b", "0", "--out", "LINK"],
+    "sweep_heatmap_out": ["sweep", "GRAPH", "--a-max", "1", "--b-max", "0", "--out", "s.csv", "--heatmap", "s.csv"],
+    "sweep_out_in_missing_directory": ["sweep", "GRAPH", "--a-max", "1", "--b-max", "0", "--out", "nodir/s.csv"],
+    "sweep_heatmap_manifest": ["sweep", "GRAPH", "--a-max", "1", "--b-max", "0", "--out", "s.csv",
+                               "--heatmap", "s.csv.manifest.json"],
+    "complete_out_model": ["complete", "GRAPH", "--model", "m.json", "--epsilon", "0.5", "--out", "m.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_OUTPUTS.values()), ids=list(REFUSED_OUTPUTS))
+def test_an_output_that_would_destroy_an_input_or_another_output_exits_1_before_reading(
+        clique_file, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--out", "m.json"]) == 0
+    os.link(clique_file, tmp_path / "link.txt")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "_load_graph", lambda *args: read.append(args))
+    monkeypatch.setattr(cli, "load_model", lambda *args: read.append(args))
+    paths = {"GRAPH": str(clique_file), "LINK": str(tmp_path / "link.txt")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write "), err
+    assert read == []
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_sweep_determinism_and_thread_equivalence(clique_file, tmp_path):

@@ -2,6 +2,7 @@ import io
 import os
 import sys
 import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -266,6 +267,37 @@ def test_sweep_refuses_a_grid_past_the_index_range_before_any_training(two_k6, t
     with pytest.raises(ValueError, match=rf"^{name} must be at most \d+ to enumerate the grid"):
         sweep(two_k6, a_max, b_max, ["degree"], [1])
     assert train_calls == []
+
+
+@pytest.mark.parametrize("a_max,b_max,strategies,seeds", [(10**6, 0, [], [1]), (1, 10**6, ["degree"], [])],
+                         ids=["no_strategies", "no_seeds"])
+def test_a_sweep_with_no_strategy_or_no_seed_gives_no_cells_without_walking_its_axes(two_k6, a_max, b_max,
+                                                                                     strategies, seeds):
+    tracemalloc.start()
+    try:
+        result = sweep(two_k6, a_max, b_max, strategies, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cells == []
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("seeds", [[1, 1.5], [2, "x"]], ids=["float", "str"])
+def test_sweep_refuses_a_seed_that_is_not_an_integer_before_any_training(two_k6, train_calls, seeds):
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        sweep(two_k6, 2, 1, ["degree"], seeds)
+    assert train_calls == []
+
+
+def test_sweep_takes_generators_of_strategies_and_seeds_as_it_takes_lists(two_k6, monkeypatch):
+    monkeypatch.setattr(evaluate, "run_experiment",
+                        lambda g, config, **kwargs: (config.a, config.b, config.strategy.kind, config.seed))
+    cells = lambda result: [(c.a, c.b, c.strategy, c.seed, c.report, c.error) for c in result.cells]
+    from_lists = sweep(two_k6, 2, 1, ["random", "degree"], [2, 1])
+    from_generators = sweep(two_k6, 2, 1, (kind for kind in ["random", "degree"]), (seed for seed in [2, 1]))
+    assert len(from_lists.cells) == 16
+    assert cells(from_generators) == cells(from_lists)
 
 
 def test_the_largest_grid_bounds_are_ones_product_can_size():

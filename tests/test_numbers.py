@@ -25,12 +25,11 @@ def _accepted(result) -> str:
     return ACCEPTED
 
 
-def _sweep_pools(ctx, a_max, b_max):
-    """The pools sweep builds its (a, b, strategy, seed) grid from, with no cell run."""
-    pools = []
-    ctx.monkeypatch.setattr(evaluate, "product", lambda *args: pools.extend(args) or [])
-    sweep(ctx.g, a_max, b_max, ["degree"], [1])
-    return pools
+def _swept_axes(ctx, a_max, b_max):
+    """The a values and the b values of the cells sweep enumerates, with no cell trained."""
+    ctx.monkeypatch.setattr(evaluate, "run_experiment", lambda *args, **kwargs: None)
+    cells = sweep(ctx.g, a_max, b_max, ["degree"], [1]).cells
+    return [c.a for c in cells], [c.b for c in cells]
 
 
 def _forest(key):
@@ -54,10 +53,10 @@ INTEGER_OPTIONS = [
     ("feature_subsample", _forest("feature_subsample")),
     ("epochs", _logistic("epochs")),
 ]
-# The grid's axis bounds, whose ranges itertools.product must be able to size.
+# The grid's axis bounds, each of whose ranges must have a length Python can state.
 GRID_OPTIONS = [
-    ("a_max", lambda ctx, v: _sweep_pools(ctx, v, 0)[0][-1]),
-    ("b_max", lambda ctx, v: _sweep_pools(ctx, 1, v)[1][-1]),
+    ("a_max", lambda ctx, v: _swept_axes(ctx, v, 0)[0][-1]),
+    ("b_max", lambda ctx, v: _swept_axes(ctx, 1, v)[1][-1]),
 ]
 REAL_OPTIONS = [
     ("learning_rate", _logistic("learning_rate")),
