@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or model error. Any flag value
 that is out of range or conflicts with another flag is a usage error, and so
-is an output path that names an input or another output, or whose directory
-is missing; flags and output paths are checked before any file is read.
-Each input file is read once. Diagnostics go to stderr; machine-readable
-output (CSV, SVG, JSON, completion edges) goes to files, or to stdout only
-where a subcommand defines it. Every output file gets a
+is an output path that names an input, another output or a directory, or
+whose directory is missing; flags and output paths are checked before any
+file is read. Each input file is read once. Diagnostics go to stderr;
+machine-readable output (CSV, SVG, JSON, completion edges) goes to files, or
+to stdout only where a subcommand defines it. Every output file gets a
 ``<file>.manifest.json`` sidecar recording the resolved parameters, seeds,
 the sha256 of the graph bytes the run parsed, tool version, and wall time;
 a completion manifest also lists each step's scored non-edges and added
@@ -105,13 +105,15 @@ def _load_graph(path: str) -> tuple[Graph, str]:
 
 def _check_outputs(inputs: list[str], outputs: list[str | None]) -> None:
     """Refuse, as a usage error raised before any file is read, an output or
-    its manifest sidecar that names an input or another output, or whose
-    directory is missing. Two paths name one file when they resolve to the
-    same path or, where both exist, are the same file."""
+    its manifest sidecar that names an input, another output or an existing
+    directory, or whose directory is missing. Two paths name one file when
+    they resolve to the same path or, where both exist, are the same file."""
     taken = list(inputs)
     for path in [str(out) + suffix for out in outputs if out for suffix in ("", ".manifest.json")]:
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise UsageError(f"cannot write {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: it is a directory")
         for other in taken:
             if os.path.realpath(path) == os.path.realpath(other) or (
                     os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):

@@ -7,6 +7,13 @@ round i re-expands the block entries at positions (i-1)*a .. i*a-1, each
 contributing its own first `a` not-yet-emitted neighbors. Groups short of
 `a` entries are padded with zeros, and a zero entry expands to `a` zeros,
 so every row has exactly 2*(a + a*a*b) + 2 values.
+
+A pair (u, v), u > v, is named by its index p = (u-1)(u-2)/2 + v - 1, its
+rank in Graph.candidate_pairs() order. A graph's edge index is the sorted
+array of its edges' pair indices, read off the adjacency lists in O(m).
+Every label, balanced sample and completion's non-edges come from it, so
+no stage holds an n x n array or all n(n-1)/2 pairs unless it returns a
+row for each.
 """
 
 from __future__ import annotations
@@ -166,13 +173,29 @@ def _neighbor_block(orders, root: int, a: int, b: int, hidden: int = 0) -> list[
 _GATHER_ROWS = 4096  # rows per gather step; bounds the temporaries of the block copies
 
 
-def labeled_candidates(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint columns u > v of every candidate pair, in Graph.candidate_pairs()
-    order, and whether each pair is an edge."""
-    u, v = np.tril_indices(g.node_count, -1)
-    u += 1
-    v += 1
-    return u, v, g.adjacency()[u, v]
+def _pair_index(u, v):
+    """The rank of the pair (u, v), u > v, in Graph.candidate_pairs() order;
+    _pair_index(n + 1, 1) is the number of pairs of n nodes."""
+    return (u - 1) * (u - 2) // 2 + v - 1
+
+
+def _pair_nodes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint columns u > v of the pair indices p: u is the largest
+    node with _pair_index(u, 1) <= p. For u below 2^28 the float square
+    root can only round up, by at most one row, so one integer step
+    corrects it."""
+    u = ((np.sqrt(8 * p + 1) + 3) * 0.5).astype(np.int64)
+    u -= _pair_index(u, 1) > p
+    return u, p - _pair_index(u, 1) + 1
+
+
+def _edge_index(g: Graph) -> np.ndarray:
+    """The sorted pair index of every edge, read off the sorted adjacency
+    lists in O(m): each node's neighbors below it, node by node."""
+    adj = [g.neighbors(u) for u in range(1, g.node_count + 1)]
+    u = np.repeat(np.arange(1, g.node_count + 1), [len(a) for a in adj])
+    v = np.array([w for a in adj for w in a], dtype=np.int64)
+    return _pair_index(u, v)[v < u]
 
 
 def _pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +222,17 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
 
     The centrality table is computed when not supplied. Explicit pairs must
     name two distinct nodes in 1..n, else ValueError; whatever their form,
-    Dataset.pairs holds them as (u, v) tuples of ints.
+    Dataset.pairs holds them as (u, v) tuples of ints. Every row is
+    labelled alike: its pair index, in either orientation, is looked up in
+    the edge index.
     """
     if pairs is None:
-        u, v, edge = labeled_candidates(g)
+        p = np.arange(_pair_index(g.node_count + 1, 1))
+        u, v = _pair_nodes(p)
     else:
         u, v = _pair_columns(pairs if isinstance(pairs, np.ndarray) else list(pairs), g.node_count)
-        edge = g.adjacency()[u, v]
+        p = _pair_index(np.maximum(u, v), np.minimum(u, v))
+    edge = np.isin(p, _edge_index(g))
     X = _feature_rows(g, config, u, v, edge, table)
     return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
 
@@ -252,17 +279,19 @@ def _as_test_fraction(test_fraction) -> float:
     return as_real(test_fraction, "test_fraction", "in (0, 1)", lambda f: 0 < f < 1)
 
 
-def _balanced_row_indices(y: np.ndarray, negative_ratio: float, seed: int) -> np.ndarray:
-    """Indices keeping all positives plus a seeded sample of negatives."""
+def _balanced_row_indices(pos: np.ndarray, rows: int, negative_ratio: float, seed: int) -> np.ndarray:
+    """Sorted indices, out of rows, of the positive rows pos (sorted) and a
+    seeded sample of the others. The sample draws ranks j among the
+    negative rows; the j-th negative row is j plus the number of positives
+    with at most j negatives before them."""
     negative_ratio = _as_ratio(negative_ratio)
-    pos = np.flatnonzero(y == 1)
     if len(pos) == 0:
         raise ValueError("cannot balance a dataset with no positive rows")
-    neg = np.flatnonzero(y == 0)
-    want = int(min(negative_ratio * len(pos), len(neg)))
+    want = int(min(negative_ratio * len(pos), rows - len(pos)))
     rng = random.Random(derive_seed(seed, "balance"))
-    chosen = rng.sample(range(len(neg)), want)
-    return np.sort(np.concatenate([pos, neg[chosen]])).astype(np.int64)
+    chosen = np.array(rng.sample(range(rows - len(pos)), want), dtype=np.int64)
+    neg = chosen + np.searchsorted(pos - np.arange(len(pos)), chosen, side="right")
+    return np.sort(np.concatenate([pos, neg]))
 
 
 def balance(d: Dataset, negative_ratio: float, seed: int) -> Dataset:
@@ -270,14 +299,10 @@ def balance(d: Dataset, negative_ratio: float, seed: int) -> Dataset:
 
     The target negative count is floor(negative_ratio * positives), capped
     at the negatives available. Surviving rows keep their original order.
+    The sample is balanced_dataset's, drawn over the dataset's rows.
     """
-    keep = _balanced_row_indices(d.y, negative_ratio, seed)
-    return Dataset(
-        X=d.X[keep],
-        y=d.y[keep],
-        pairs=[d.pairs[i] for i in keep],
-        config=d.config,
-    )
+    keep = _balanced_row_indices(np.flatnonzero(d.y == 1), len(d.y), negative_ratio, seed)
+    return Dataset(X=d.X[keep], y=d.y[keep], pairs=[d.pairs[i] for i in keep], config=d.config)
 
 
 def balanced_dataset(
@@ -291,14 +316,16 @@ def balanced_dataset(
     """Same output as balance(build_dataset(g, config), ratio, seed), but
     features are only extracted for rows that survive balancing.
 
-    Labels depend on edge presence alone, so the kept-row selection can be
-    made before any feature work; on sparse graphs this skips most pairs.
+    Labels depend on edge presence alone, so the kept rows are drawn from
+    the edge index before any feature work: the negatives are sampled as
+    ranks among the non-edge pair indices, and only the kept indices are
+    turned back into pairs. Memory grows with the kept rows and the edges,
+    not with the n(n-1)/2 candidate pairs.
     """
     if seed is None:
         seed = config.seed
-    u, v, edge = labeled_candidates(g)
-    keep = _balanced_row_indices(edge.astype(np.int8), negative_ratio, seed)
-    return build_dataset(g, config, table=table, pairs=np.stack([u[keep], v[keep]], axis=1))
+    keep = _balanced_row_indices(_edge_index(g), _pair_index(g.node_count + 1, 1), negative_ratio, seed)
+    return build_dataset(g, config, table=table, pairs=np.stack(_pair_nodes(keep), axis=1))
 
 
 def split(d: Dataset, test_fraction: float, seed: int) -> Split:

@@ -856,7 +856,8 @@ def save_model(c: Classifier, sink=None) -> bytes:
 
 
 def load_model(source) -> Classifier:
-    """Rebuild a Classifier from bytes, a JSON string, a stream, or a path.
+    """Rebuild a Classifier from bytes, a JSON string, a stream, or a path;
+    a str that names an existing file is a path, even if it starts with "{".
 
     Raises ModelFormatError for any document that cannot be scored safely:
     bad JSON or version, missing fields, a seed that is not an int, unknown
@@ -870,7 +871,8 @@ def load_model(source) -> Classifier:
     logistic weights of the wrong length, or a threshold, logistic weight
     or bias that is not a finite number.
     """
-    if isinstance(source, (bytes, bytearray)) or (isinstance(source, str) and source.lstrip().startswith("{")):
+    if isinstance(source, (bytes, bytearray)) or (
+            isinstance(source, str) and source.lstrip().startswith("{") and not os.path.isfile(source)):
         data = source
     else:
         with open_stream(source, "rb") as stream:

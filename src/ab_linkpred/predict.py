@@ -21,8 +21,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._seeds import as_int, as_unit
-from .featurize import FeatureConfig, _feature_rows, config_from_dict, labeled_candidates
+from .featurize import FeatureConfig, _edge_index, _feature_rows, _pair_index, _pair_nodes, config_from_dict
 from .graph import Graph
 from .model import Classifier, predict_scores
 
@@ -92,11 +94,8 @@ def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureCon
 def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
     candidate-pair order, and the number of non-edges scored."""
-    u, v, edge = labeled_candidates(g)
-    u, v, edge = u[~edge], v[~edge], edge[~edge]
-    if not len(u):
-        return [], 0
-    scores = predict_scores(model, _feature_rows(g, feat, u, v, edge, None), floor=epsilon)
+    u, v = _pair_nodes(np.delete(np.arange(_pair_index(g.node_count + 1, 1)), _edge_index(g)))
+    scores = predict_scores(model, _feature_rows(g, feat, u, v, np.zeros(len(u), bool), None), floor=epsilon)
     keep = scores >= epsilon
     return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist())), len(u)
 

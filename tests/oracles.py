@@ -5,7 +5,11 @@ distances come from Floyd-Warshall and betweenness from explicit
 enumeration of every shortest path, or from Brandes' accumulation over
 adjacency lists in exact rational arithmetic. The feature reference
 rebuilds both neighbor blocks of every pair one by one, the plain form of
-the block table that build_dataset gathers from. The tree reference grows
+the block table that build_dataset gathers from. The dense candidate
+references label every pair off the (n+1) x (n+1) adjacency matrix and
+sample negatives from the list of every negative row, the plain form of the
+sorted edge index that build_dataset, balance and balanced_dataset share.
+The tree reference grows
 a CART tree one node and one full sort per split, the plain form of the
 level-wise builder that train uses. The forest vote reference walks every
 row through every tree one node at a time, the plain form of the walk that
@@ -19,11 +23,14 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from ab_linkpred import Dataset, ordered_neighbors, table_for
+from ab_linkpred._seeds import derive_seed
+from ab_linkpred.featurize import _feature_rows
 from ab_linkpred.model import _tree_arrays
 
 INF = float("inf")
@@ -179,6 +186,44 @@ def reference_dataset(g, config, pairs=None):
         X[i] = row + [u, v]
         y[i] = 1 if g.has_edge(u, v) else 0
     return Dataset(X=X, y=y, pairs=pair_list, config=config)
+
+
+def dense_labeled_candidates(g):
+    """Endpoint columns u > v of every candidate pair, in
+    Graph.candidate_pairs() order, and whether each pair is an edge."""
+    u, v = np.tril_indices(g.node_count, -1)
+    u += 1
+    v += 1
+    return u, v, g.adjacency()[u, v]
+
+
+def dense_balanced_row_indices(y, negative_ratio, seed):
+    """Indices keeping all positives plus a seeded sample of negatives."""
+    pos = np.flatnonzero(y == 1)
+    if len(pos) == 0:
+        raise ValueError("cannot balance a dataset with no positive rows")
+    neg = np.flatnonzero(y == 0)
+    want = int(min(negative_ratio * len(pos), len(neg)))
+    rng = random.Random(derive_seed(seed, "balance"))
+    chosen = rng.sample(range(len(neg)), want)
+    return np.sort(np.concatenate([pos, neg[chosen]])).astype(np.int64)
+
+
+def dense_dataset(g, config, pairs=None):
+    """build_dataset with its labels read off the dense adjacency matrix."""
+    if pairs is None:
+        u, v, edge = dense_labeled_candidates(g)
+    else:
+        u, v = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        edge = g.adjacency()[u, v]
+    X = _feature_rows(g, config, u, v, edge, None)
+    return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
+
+
+def dense_balance(d, negative_ratio, seed):
+    """balance with the dense negative sample."""
+    keep = dense_balanced_row_indices(d.y, negative_ratio, seed)
+    return Dataset(X=d.X[keep], y=d.y[keep], pairs=[d.pairs[i] for i in keep], config=d.config)
 
 
 def _best_split(Xn, ys, min_leaf):

@@ -307,7 +307,15 @@ REFUSED_OUTPUTS = {
     "sweep_heatmap_manifest": ["sweep", "GRAPH", "--a-max", "1", "--b-max", "0", "--out", "s.csv",
                                "--heatmap", "s.csv.manifest.json"],
     "complete_out_model": ["complete", "GRAPH", "--model", "m.json", "--epsilon", "0.5", "--out", "m.json"],
+    "train_out_directory": ["train", "GRAPH", "--a", "1", "--b", "0", "--out", "d"],
+    "train_manifest_directory": ["train", "GRAPH", "--a", "1", "--b", "0", "--out", "m2.json"],
+    "sweep_heatmap_directory": ["sweep", "GRAPH", "--a-max", "1", "--b-max", "0", "--out", "s.csv", "--heatmap", "d"],
 }
+
+
+def tree_bytes(root):
+    """Every path under root, with its bytes if it is a file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.mark.parametrize("argv", list(REFUSED_OUTPUTS.values()), ids=list(REFUSED_OUTPUTS))
@@ -316,7 +324,9 @@ def test_an_output_that_would_destroy_an_input_or_another_output_exits_1_before_
     monkeypatch.chdir(tmp_path)
     assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--out", "m.json"]) == 0
     os.link(clique_file, tmp_path / "link.txt")
-    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    (tmp_path / "d").mkdir()
+    (tmp_path / "m2.json.manifest.json").mkdir()
+    before = tree_bytes(tmp_path)
     capsys.readouterr()
     read = []
     monkeypatch.setattr(cli, "_load_graph", lambda *args: read.append(args))
@@ -326,7 +336,7 @@ def test_an_output_that_would_destroy_an_input_or_another_output_exits_1_before_
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write "), err
     assert read == []
-    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert tree_bytes(tmp_path) == before
 
 
 def test_sweep_determinism_and_thread_equivalence(clique_file, tmp_path):

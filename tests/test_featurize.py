@@ -18,10 +18,10 @@ from ab_linkpred import (
     load_edge_list,
     split,
 )
-from ab_linkpred.featurize import config_from_dict, config_to_dict
+from ab_linkpred.featurize import _edge_index, _pair_index, _pair_nodes, config_from_dict, config_to_dict
 
-from graphgen import complete_graph, gnm_edges, gnp_edges, graph_from_edges
-from oracles import reference_dataset
+from graphgen import community_edges, complete_graph, gnm_edges, gnp_edges, graph_from_edges
+from oracles import dense_balance, dense_dataset, dense_labeled_candidates, reference_dataset
 
 
 def degree_cfg(a, b, seed=42, mask=False):
@@ -326,6 +326,98 @@ def test_balanced_dataset_matches_unfused_pipeline():
         assert fused.pairs == plain.pairs
         assert np.array_equal(fused.X, plain.X)
         assert np.array_equal(fused.y, plain.y)
+
+
+def two_nodes(joined):
+    return graph_from_edges([(1, 2)]) if joined else edgeless(2)
+
+
+# Graphs for the sorted edge index against the dense references: the
+# community fixture, random graphs, no negatives, isolated nodes and two nodes.
+INDEX_GRAPHS = {
+    "fixture": lambda: graph_from_edges(community_edges(333, 2519, 9, seed=3)),
+    "gnm_45_120": lambda: graph_from_edges(gnm_edges(45, 120, seed=8)),
+    "gnm_300_299": lambda: graph_from_edges(gnm_edges(300, 299, seed=2)),
+    "complete_7": lambda: complete_graph(7),
+    "isolated_nodes": with_isolated_nodes,
+    "two_nodes_joined": lambda: two_nodes(True),
+}
+
+
+@pytest.mark.parametrize("make", list(INDEX_GRAPHS.values()), ids=list(INDEX_GRAPHS))
+def test_the_edge_index_labels_and_samples_pairs_as_the_dense_references_do(make):
+    g = make()
+    cfg = random_cfg(2, 1, seed=3, mask=True)
+    u, v, edge = dense_labeled_candidates(g)
+    assert _edge_index(g).tolist() == np.flatnonzero(edge).tolist()
+    assert [a.tolist() for a in _pair_nodes(np.arange(len(u)))] == [u.tolist(), v.tolist()]
+    full = build_dataset(g, cfg)
+    assert_same_bytes(full, dense_dataset(g, cfg))
+    rng = random.Random(g.node_count)
+    pairs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in rng.sample(full.pairs, min(len(full.pairs), 300))]
+    pairs += [(b, a) for a, b in pairs[:20]]
+    assert_same_bytes(build_dataset(g, cfg, pairs=pairs), dense_dataset(g, cfg, pairs))
+    for ratio in (0.5, 1.0, 3.0, 1e9):  # 1e9 keeps every negative
+        for seed in (1, 7):
+            want = dense_balance(dense_dataset(g, cfg), ratio, seed)
+            assert_same_bytes(balance(full, ratio, seed), want)
+            assert_same_bytes(balanced_dataset(g, cfg, ratio, seed=seed), want)
+    every = balanced_dataset(g, cfg, 1e9, seed=1)
+    assert (every.positive_count, every.negative_count) == (g.edge_count, full.negative_count)
+
+
+@pytest.mark.parametrize("make", [lambda: edgeless(9), lambda: two_nodes(False)], ids=["no_edges", "two_nodes"])
+def test_a_graph_with_no_edges_has_no_positive_rows_to_balance(make):
+    g = make()
+    cfg = degree_cfg(2, 1)
+    assert _edge_index(g).tolist() == []
+    assert_same_bytes(build_dataset(g, cfg), dense_dataset(g, cfg))
+    for call in (lambda: balanced_dataset(g, cfg, 1.0), lambda: balance(build_dataset(g, cfg), 1.0, seed=1)):
+        with pytest.raises(ValueError, match="cannot balance a dataset with no positive rows"):
+            call()
+
+
+# Near 2^27 the float square root rounds the last pair of a row up into the
+# next row, and the integer step must correct it.
+@pytest.mark.parametrize("u", [2**24 - 1, 2**24, 2**24 + 1, 2**27, 2**28 - 1])
+def test_pair_nodes_inverts_pair_index_at_the_ends_of_rows(u):
+    for v in (1, 2, u - 1):
+        p = _pair_index(u, v)
+        got = _pair_nodes(np.array([p]))
+        assert (int(got[0][0]), int(got[1][0])) == (u, v)
+        assert _pair_index(*got).tolist() == [p]
+
+
+def test_no_path_builds_an_n_by_n_array(monkeypatch):
+    from ab_linkpred import CompletionConfig, Graph, complete, fit
+
+    g = graph_from_edges(gnm_edges(40, 90, seed=6))
+    cfg = degree_cfg(2, 1, seed=4)
+    model, _ = fit(g, cfg, classifier_params={"tree_count": 5})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense n x n array")
+
+    monkeypatch.setattr(np, "tril_indices", refuse)
+    monkeypatch.setattr(Graph, "adjacency", refuse)
+    assert len(balanced_dataset(g, cfg, 1.0).y) == 180
+    assert len(build_dataset(g, cfg, pairs=[(3, 1), (1, 3)]).y) == 2
+    assert create_pair_features(g, 2, 1, cfg).u == 2
+    assert complete(g, model, CompletionConfig(epsilon=0.5, mode="iterative", max_steps=2)).steps
+
+
+def test_balanced_dataset_on_a_sparse_graph_keeps_its_memory_to_its_rows():
+    import tracemalloc
+
+    g = graph_from_edges(gnm_edges(4000, 12000, seed=1))
+    tracemalloc.start()
+    try:
+        d = balanced_dataset(g, degree_cfg(2, 1), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.y) == 24000
+    assert peak < 32 * 2**20, peak
 
 
 def test_split_stratification_partition_and_determinism():

@@ -93,6 +93,14 @@ def test_load_model_reads_a_path_a_stream_or_a_document_alike(parts, tmp_path):
     assert not binary.closed and not text.closed
 
 
+def test_load_model_reads_a_path_that_starts_with_a_brace(parts, tmp_path, monkeypatch):
+    data = save_model(parts[3])
+    (tmp_path / "{m}.json").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    for source in ("{m}.json", str(tmp_path / "{m}.json"), Path("{m}.json")):
+        assert save_model(load_model(source)) == data
+
+
 def test_no_module_but_streams_calls_the_builtin_open():
     """_streams.open_stream is the one place a path is opened."""
     src = Path(ab_linkpred.__file__).parent
@@ -104,5 +112,19 @@ def test_no_module_but_streams_calls_the_builtin_open():
             (isinstance(node.func, ast.Name) and node.func.id == "open")
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"
                 and isinstance(node.func.value, ast.Name) and node.func.value.id in ("builtins", "io")))
+    ]
+    assert callers == []
+
+
+def test_no_module_builds_a_dense_n_by_n_array_of_pairs():
+    """featurize's sorted edge index is the one way pairs are enumerated and
+    labelled: no src module calls np.tril_indices or Graph.adjacency."""
+    src = Path(ab_linkpred.__file__).parent
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("tril_indices", "adjacency")
     ]
     assert callers == []
