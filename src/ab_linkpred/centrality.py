@@ -22,6 +22,7 @@ from .graph import Graph
 MEASURES = ("degree", "betweenness", "closeness")
 STRATEGY_KINDS = ("random",) + MEASURES
 _BLOCK = 128  # BFS sources per block of the shortest-path pass
+_DENSE = 8  # a level is deduplicated by counting once _DENSE x its fresh entries reach the key space
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,17 @@ def _searches(g: Graph):
     largest: every fixture source reaches all 333 nodes by level 2, and
     expanding level 2 took about 70% of the pass. On a path or a grid the
     last level is small, so the stop saves little there.
+
+    Each level's fresh entries are deduplicated into its sorted keys and
+    each entry's slot among them. A sparse level sorts them (np.unique). A
+    level dense in the block's key space, _DENSE x its fresh entries at
+    least len(dist), is counted instead: its entries are marked in a
+    boolean array over the key space, np.flatnonzero reads the keys off it
+    in ascending order, and a slot array holding arange(len(keys)) at those
+    keys gives each entry its slot. Both give the same keys and slots, so
+    edges, sums and tables do not change. Level 2 of every fixture block is
+    dense, and counting it took fixture betweenness from 12 to 8 ms (2
+    shared CPUs); paths and grids see only sparse levels and keep the sort.
     """
     n = g.node_count
     adj = [g.neighbors(v) for v in range(1, n + 1)]
@@ -110,6 +122,7 @@ def _searches(g: Graph):
         dist = np.full(len(keys) * n, -1, dtype=np.int64)
         sigma = np.zeros(len(keys) * n)
         dist[keys], sigma[keys] = 0, 1.0
+        mark, slots = np.zeros(len(dist), dtype=bool), np.empty(len(dist), dtype=np.intp)
         levels, edges = [keys], []
         unreached = int(sizes[lo:lo + len(keys)].sum()) - len(keys)
         while unreached > 0:
@@ -121,12 +134,20 @@ def _searches(g: Graph):
             pos = np.arange(len(i)) + np.repeat(indptr[nodes] - (np.cumsum(deg) - deg), deg)
             nbr = rows[i] * n + indices[pos]
             fresh = dist[nbr] < 0
-            keys, slot = np.unique(nbr[fresh], return_inverse=True)
+            i, nbr = i[fresh], nbr[fresh]
+            if _DENSE * len(nbr) >= len(dist):
+                mark[nbr] = True
+                keys = np.flatnonzero(mark)
+                mark[keys] = False
+                slots[keys] = np.arange(len(keys))
+                slot = slots[nbr]
+            else:
+                keys, slot = np.unique(nbr, return_inverse=True)
             if not len(keys):
                 break
             # A level's path counts sum its predecessors' counts.
-            edges.append((i[fresh], slot))
-            sigma[keys] = np.bincount(slot, weights=sigma[levels[-1]][i[fresh]], minlength=len(keys))
+            edges.append((i, slot))
+            sigma[keys] = np.bincount(slot, weights=sigma[levels[-1]][i], minlength=len(keys))
             dist[keys] = len(levels)
             levels.append(keys)
             unreached -= len(keys)

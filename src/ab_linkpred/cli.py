@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from ._seeds import as_int, as_unit
@@ -94,12 +93,18 @@ _STRATEGIES = _checked(str, "comma-separated strategies", lambda kind: Strategy(
 _SEEDS = _checked(int, "comma-separated integers", many=True)
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file at path, read through open_stream."""
+    with open_stream(path, "rb") as f:
+        return f.read()
+
+
 def _load_graph(path: str) -> tuple[Graph, str]:
     """The graph in the file at path, and the sha256 of the bytes it was
     parsed from. The file is read once, so the digest is that of the graph
     the run used, even from a pipe, and it is taken before any output is
     written. The bytes decode as open(path, encoding="utf-8") decodes them."""
-    data = Path(path).read_bytes()
+    data = _read(path)
     return load_edge_list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")), hashlib.sha256(data).hexdigest()
 
 
@@ -271,7 +276,7 @@ def _cmd_complete(args) -> int:
         raise UsageError(str(err)) from None
     _check_outputs([args.graph, args.model], [args.out])
     start = time.perf_counter()
-    clf = load_model(Path(args.model).read_bytes())
+    clf = load_model(_read(args.model))
     g, digest = _load_graph(args.graph)
     trace = complete(g, clf, cfg)
     with open_stream(args.out, "w", encoding="utf-8") as f:

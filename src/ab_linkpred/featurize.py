@@ -14,6 +14,12 @@ array of its edges' pair indices, read off the adjacency lists in O(m).
 Every label, balanced sample and completion's non-edges come from it, so
 no stage holds an n x n array or all n(n-1)/2 pairs unless it returns a
 row for each.
+
+Rows are filled from a block table, each root's block built once. All
+candidate pairs, in pair index order, are root u's contiguous slab of rows
+(u, 1) .. (u, u - 1), written as one broadcast of u's block and one copy of
+the blocks of 1 .. u - 1; explicit pairs are gathered from the table in
+row chunks.
 """
 
 from __future__ import annotations
@@ -207,7 +213,8 @@ def _pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
     u, v = arr.T.astype(np.intp)
     bad = (u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)
     if bad.any():
-        raise ValueError(f"pair {tuple(pairs[int(np.argmax(bad))])} must name two distinct nodes in 1..{n}")
+        i = int(np.argmax(bad))
+        raise ValueError(f"pair {(int(u[i]), int(v[i]))} must name two distinct nodes in 1..{n}")
     return u, v
 
 
@@ -224,40 +231,76 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
     name two distinct nodes in 1..n, else ValueError; whatever their form,
     Dataset.pairs holds them as (u, v) tuples of ints. Every row is
     labelled alike: its pair index, in either orientation, is looked up in
-    the edge index.
+    the edge index. All candidate pairs are written root by root as slabs
+    of the block table (_slab_rows); explicit pairs are gathered from it
+    (_gathered_rows).
     """
     if pairs is None:
         p = np.arange(_pair_index(g.node_count + 1, 1))
         u, v = _pair_nodes(p)
+        orders, blocks = _block_table(g, config, range(1, g.node_count + 1), table)
+        X = _slab_rows(blocks, config)
     else:
         u, v = _pair_columns(pairs if isinstance(pairs, np.ndarray) else list(pairs), g.node_count)
         p = _pair_index(np.maximum(u, v), np.minimum(u, v))
+        orders, blocks = _block_table(g, config, np.unique(np.concatenate([u, v])).tolist(), table)
+        X = _gathered_rows(blocks, config, u, v)
     edge = np.isin(p, _edge_index(g))
-    X = _feature_rows(g, config, u, v, edge, table)
+    _finish_rows(X, orders, blocks, config, u, v, edge)
     return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
 
 
-def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
-    """build_dataset's X for the endpoint columns u, v; edge says which pairs are edges.
-
-    Unmasked, a block depends on its root alone, so each distinct endpoint's
-    block is built once and the rows are gathered from that table. Under
-    mask_pair_edge a pair's own edge can only show in an endpoint's level-0
-    group, and only if the pair is an edge, so a positive row rebuilds its
-    u-block only when v is in the table's level-0 group of u, and its
-    v-block only when u is in that of v; every other block is the table's.
-    neighbor_orders computes a missing table.
-    """
+def _block_table(g: Graph, config: FeatureConfig, roots, table: CentralityTable | None):
+    """The neighbor orders and the (n + 1) x block_length table holding each
+    root's unmasked block in its row; other rows stay zero. Unmasked, a
+    block depends on its root alone, so each is built once and every row
+    copies it from here. neighbor_orders computes a missing table."""
     orders = neighbor_orders(g, config.strategy, table)
-    a, b, k = config.a, config.b, config.block_length
-    blocks = np.zeros((g.node_count + 1, k), dtype=np.int32)
-    for root in np.unique(np.concatenate([u, v])).tolist():
-        blocks[root] = _neighbor_block(orders, root, a, b)
+    blocks = np.zeros((g.node_count + 1, config.block_length), dtype=np.int32)
+    for root in roots:
+        blocks[root] = _neighbor_block(orders, root, config.a, config.b)
+    return orders, blocks
+
+
+def _slab_rows(blocks: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The block columns of every candidate pair's row. In pair index order
+    root u's rows are the contiguous slab of pairs (u, 1) .. (u, u - 1), so
+    each slab is one broadcast of blocks[u] and one copy of blocks[1:u],
+    with no gather and no temporary. On the 333-node fixture at a=5 b=5
+    (55,278 rows of 262 columns), with the betweenness table passed in,
+    build_dataset took 34-37 ms with this fill and 43-58 ms with the
+    chunked gather (2 shared CPUs)."""
+    n, k = len(blocks) - 1, config.block_length
+    X = np.empty((_pair_index(n + 1, 1), config.row_length), dtype=np.int32)
+    for u in range(2, n + 1):
+        slab = X[_pair_index(u, 1):_pair_index(u + 1, 1)]
+        slab[:, :k] = blocks[u]
+        slab[:, k:2 * k] = blocks[1:u]
+    return X
+
+
+def _gathered_rows(blocks: np.ndarray, config: FeatureConfig, u, v) -> np.ndarray:
+    """The block columns of the rows of explicit pairs u, v, gathered from
+    the block table in chunks of _GATHER_ROWS rows."""
+    k = config.block_length
     X = np.empty((len(u), config.row_length), dtype=np.int32)
     for lo in range(0, len(u), _GATHER_ROWS):
         rows = slice(lo, lo + _GATHER_ROWS)
         X[rows, :k] = blocks[u[rows]]
         X[rows, k:2 * k] = blocks[v[rows]]
+    return X
+
+
+def _finish_rows(X: np.ndarray, orders, blocks: np.ndarray, config: FeatureConfig, u, v, edge) -> None:
+    """Write the pairs' own IDs into X's last two columns and, under
+    mask_pair_edge, rebuild the blocks that show the pair's own edge.
+
+    That edge can only show in an endpoint's level-0 group, and only if the
+    pair is an edge, so a positive row rebuilds its u-block only when v is
+    in the table's level-0 group of u, and its v-block only when u is in
+    that of v; every other block is the table's.
+    """
+    a, b, k = config.a, config.b, config.block_length
     X[:, -2] = u
     X[:, -1] = v
     if config.mask_pair_edge:
@@ -266,6 +309,14 @@ def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: Centrality
             held = (blocks[root, :a] == hidden[:, None]).any(axis=1)
             for i, r, h in zip(pos[held].tolist(), root[held].tolist(), hidden[held].tolist()):
                 X[i, cols] = _neighbor_block(orders, r, a, b, h)
+
+
+def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
+    """build_dataset's X for the explicit endpoint columns u, v; edge says
+    which pairs are edges."""
+    orders, blocks = _block_table(g, config, np.unique(np.concatenate([u, v])).tolist(), table)
+    X = _gathered_rows(blocks, config, u, v)
+    _finish_rows(X, orders, blocks, config, u, v, edge)
     return X
 
 

@@ -11,8 +11,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from ._streams import open_stream
 
 
@@ -81,13 +79,6 @@ class Graph:
         adj = self._adj[u]
         i = bisect_left(adj, v)
         return i < len(adj) and adj[i] == v
-
-    def adjacency(self) -> np.ndarray:
-        """Boolean (n+1, n+1) adjacency matrix; row and column 0 stay False."""
-        adj = np.zeros((self.node_count + 1, self.node_count + 1), dtype=bool)
-        for u in range(1, self.node_count + 1):
-            adj[u, self._adj[u]] = True
-        return adj
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Insert the undirected edge (u, v); a no-op if already present."""

@@ -5,7 +5,7 @@ distances come from Floyd-Warshall and betweenness from explicit
 enumeration of every shortest path, or from Brandes' accumulation over
 adjacency lists in exact rational arithmetic. The feature reference
 rebuilds both neighbor blocks of every pair one by one, the plain form of
-the block table that build_dataset gathers from. The dense candidate
+the block table that build_dataset fills rows from. The dense candidate
 references label every pair off the (n+1) x (n+1) adjacency matrix and
 sample negatives from the list of every negative row, the plain form of the
 sorted edge index that build_dataset, balance and balanced_dataset share.
@@ -188,13 +188,21 @@ def reference_dataset(g, config, pairs=None):
     return Dataset(X=X, y=y, pairs=pair_list, config=config)
 
 
+def adjacency(g):
+    """Boolean (n+1, n+1) adjacency matrix; row and column 0 stay False."""
+    adj = np.zeros((g.node_count + 1, g.node_count + 1), dtype=bool)
+    for u in range(1, g.node_count + 1):
+        adj[u, g.neighbors(u)] = True
+    return adj
+
+
 def dense_labeled_candidates(g):
     """Endpoint columns u > v of every candidate pair, in
     Graph.candidate_pairs() order, and whether each pair is an edge."""
     u, v = np.tril_indices(g.node_count, -1)
     u += 1
     v += 1
-    return u, v, g.adjacency()[u, v]
+    return u, v, adjacency(g)[u, v]
 
 
 def dense_balanced_row_indices(y, negative_ratio, seed):
@@ -215,7 +223,7 @@ def dense_dataset(g, config, pairs=None):
         u, v, edge = dense_labeled_candidates(g)
     else:
         u, v = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        edge = g.adjacency()[u, v]
+        edge = adjacency(g)[u, v]
     X = _feature_rows(g, config, u, v, edge, None)
     return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
 

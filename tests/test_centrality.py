@@ -16,7 +16,7 @@ from ab_linkpred import (
     neighbor_orders,
     ordered_neighbors,
 )
-from ab_linkpred.centrality import MEASURES, CentralityTable, _component_sizes
+from ab_linkpred.centrality import MEASURES, CentralityTable, _component_sizes, _searches
 
 from graphgen import (
     community_edges,
@@ -217,6 +217,40 @@ def test_betweenness_orders_match_exact_ranking(name):
 @given(st.integers(5, 30), st.floats(0.1, 0.6), st.integers(0, 10_000))
 def test_betweenness_orders_match_exact_ranking_on_random_graphs(n, p, seed):
     _assert_matches_exact_oracles(graph_from_edges(gnp_edges(n, p, seed) or [(1, 2)]))
+
+
+def _shortest_path_pass(g):
+    """Everything _searches yields, as lists."""
+    return [
+        (lo, [k.tolist() for k in levels], [(p.tolist(), s.tolist()) for p, s in edges], sigma.tolist(), dist.tolist())
+        for lo, levels, edges, sigma, dist in _searches(g)
+    ]
+
+
+# Each level's new keys are deduplicated by a sort or, on a level dense in
+# its block's key space, by counting. A _DENSE of 0 sends every level to the
+# sort; one no level can stay under sends every nonempty level to counting.
+@pytest.mark.parametrize("dense", [0, 2**62], ids=["always_sort", "always_count"])
+def test_both_level_dedups_give_the_golden_and_exact_tables(monkeypatch, dense):
+    monkeypatch.setattr("ab_linkpred.centrality._DENSE", dense)
+    for name, make in GOLDEN_GRAPHS.items():
+        g = make()
+        with monkeypatch.context() as sorted_only:
+            sorted_only.setattr("ab_linkpred.centrality._DENSE", 0)
+            want = _shortest_path_pass(g)
+        # Same sorted keys, slots and edges, so the same sums in the same order.
+        assert _shortest_path_pass(g) == want
+        for measure in ("betweenness", "closeness"):
+            values = centrality_table(g, measure).values
+            assert hashlib.sha256(repr(values).encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[measure, name]
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        for edges in (gnm_edges(n, rng.randint(n - 1, 2 * n), seed), gnp_edges(n, rng.uniform(0.1, 0.6), seed)):
+            g = graph_from_edges(edges or [(1, 2)])
+            exact = exact_betweenness(g)
+            assert betweenness_centrality(g).values == pytest.approx([float(x) for x in exact], rel=1e-12, abs=1e-12)
+            _assert_matches_exact_oracles(g)
 
 
 # --- ordering ---

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,11 @@ def test_build_dataset_rejects_invalid_pairs(bad):
     g = with_isolated_nodes()  # 27 nodes
     with pytest.raises(ValueError):
         build_dataset(g, degree_cfg(2, 1), pairs=[(2, 1)] + bad)
+    if len(bad[0]) == 2 and all(type(x) is int for x in bad[0]):
+        # The refusal names the pair in plain ints, whatever the pairs' form.
+        for pairs in ([(2, 1)] + bad, np.array([(2, 1)] + bad)):
+            with pytest.raises(ValueError, match=re.escape(f"pair {bad[0]} must name two distinct nodes in 1..27")):
+                build_dataset(g, degree_cfg(2, 1), pairs=pairs)
 
 
 def test_labels_do_not_depend_on_ordering_seed():
@@ -389,7 +395,7 @@ def test_pair_nodes_inverts_pair_index_at_the_ends_of_rows(u):
 
 
 def test_no_path_builds_an_n_by_n_array(monkeypatch):
-    from ab_linkpred import CompletionConfig, Graph, complete, fit
+    from ab_linkpred import CompletionConfig, complete, fit
 
     g = graph_from_edges(gnm_edges(40, 90, seed=6))
     cfg = degree_cfg(2, 1, seed=4)
@@ -399,7 +405,6 @@ def test_no_path_builds_an_n_by_n_array(monkeypatch):
         raise AssertionError("dense n x n array")
 
     monkeypatch.setattr(np, "tril_indices", refuse)
-    monkeypatch.setattr(Graph, "adjacency", refuse)
     assert len(balanced_dataset(g, cfg, 1.0).y) == 180
     assert len(build_dataset(g, cfg, pairs=[(3, 1), (1, 3)]).y) == 2
     assert create_pair_features(g, 2, 1, cfg).u == 2

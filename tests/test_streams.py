@@ -102,7 +102,8 @@ def test_load_model_reads_a_path_that_starts_with_a_brace(parts, tmp_path, monke
 
 
 def test_no_module_but_streams_calls_the_builtin_open():
-    """_streams.open_stream is the one place a path is opened."""
+    """_streams.open_stream is the one place a path is opened: no other src
+    module calls the builtin open or a Path's read and write shortcuts."""
     src = Path(ab_linkpred.__file__).parent
     callers = [
         f"{path.name}:{node.lineno}"
@@ -111,7 +112,9 @@ def test_no_module_but_streams_calls_the_builtin_open():
         if isinstance(node, ast.Call) and (
             (isinstance(node.func, ast.Name) and node.func.id == "open")
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"
-                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("builtins", "io")))
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("builtins", "io"))
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("read_bytes", "read_text", "write_bytes", "write_text")))
     ]
     assert callers == []
 
