@@ -311,15 +311,6 @@ def _finish_rows(X: np.ndarray, orders, blocks: np.ndarray, config: FeatureConfi
                 X[i, cols] = _neighbor_block(orders, r, a, b, h)
 
 
-def _feature_rows(g: Graph, config: FeatureConfig, u, v, edge, table: CentralityTable | None) -> np.ndarray:
-    """build_dataset's X for the explicit endpoint columns u, v; edge says
-    which pairs are edges."""
-    orders, blocks = _block_table(g, config, np.unique(np.concatenate([u, v])).tolist(), table)
-    X = _gathered_rows(blocks, config, u, v)
-    _finish_rows(X, orders, blocks, config, u, v, edge)
-    return X
-
-
 def _as_ratio(negative_ratio) -> float:
     """The balance ratio checked (see as_real): a finite number > 0."""
     return as_real(negative_ratio, "negative_ratio", "a finite number > 0", lambda r: r > 0)

@@ -19,10 +19,12 @@ models serialize to plain JSON:
   one-shot forked worker processes, one per usable CPU and each growing
   an equal share of the batches, with the same bytes as a serial run (see
   _train_forest and _fork_map).
-  Scoring walks each tree, in this process, over the rows still
-  unfinished: a state 2 * node per row, leaves that loop to themselves so
-  finished rows are looked for only every few levels, and the features as
-  int16 when every value fits.
+  Scoring walks each tree over the rows still unfinished: a state 2 * node
+  per row, leaves that loop to themselves so finished rows are looked for
+  only every few levels, and the features as int16 when every value fits.
+  predict_scores walks in this process; a completion step may score its
+  row chunks on the same forked workers (see _forest_votes and
+  predict._step).
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -507,6 +509,22 @@ def _resolve_feature_count(total: int, requested) -> int:
     return requested
 
 
+def _fork_workers(row_trees: int, crossover: int, most: int) -> int:
+    """Worker processes for a job of row_trees rows x trees; 1 means run it
+    in this process.
+
+    More than one only when row_trees reaches crossover, the platform
+    reports usable CPUs (all such can fork), and only the main thread runs
+    (forking a multi-threaded process is unsafe, and _fork_map sets a SIGINT
+    handler); then one per usable CPU, at most `most`.
+    """
+    if row_trees < crossover or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() != 1 or threading.get_ident() != threading.main_thread().ident:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), most))
+
+
 # Worker processes grow a forest only from this many rows x trees on.
 # Measured with 2 workers against batched in-process growth, on forests of
 # 10-100 trees and 4-162 columns: from 30,000 they took 0.63-0.88 of the
@@ -517,18 +535,9 @@ _POOL_MIN_ROW_TREES = 20_000
 
 
 def _forest_workers(X: np.ndarray, tree_count: int) -> int:
-    """Worker processes to grow a forest in; 1 means grow it in this process.
-
-    More than one only when rows x trees reaches _POOL_MIN_ROW_TREES, the
-    platform reports usable CPUs (all such can fork), and only the main thread
-    runs (forking a multi-threaded process is unsafe, and _fork_map sets a
-    SIGINT handler); then one per usable CPU, at most one per tree.
-    """
-    if X.shape[0] * tree_count < _POOL_MIN_ROW_TREES or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() != 1 or threading.get_ident() != threading.main_thread().ident:
-        return 1
-    return min(len(os.sched_getaffinity(0)), tree_count)
+    """Worker processes to grow a forest in (see _fork_workers): from
+    _POOL_MIN_ROW_TREES rows x trees on, at most one per tree."""
+    return _fork_workers(X.shape[0] * tree_count, _POOL_MIN_ROW_TREES, tree_count)
 
 
 def _fork_map(fn, count: int, workers: int) -> list:
@@ -537,7 +546,8 @@ def _fork_map(fn, count: int, workers: int) -> list:
     Worker w computes the indices i = w (mod workers) on inputs inherited
     through fork, sends its list once over a pipe and exits, so the result
     does not depend on the worker count; this process only collects the
-    lists. A forest's index is a batch of trees. A worker checks that its
+    lists. An index is a batch of a forest's trees, or a row chunk of a
+    completion step (predict._step). A worker checks that its
     parent still runs before each index, and returns without sending once
     it is gone. workers == 1 computes them here, without a fork. A worker
     that dies raises ChildProcessError. Whatever ends the call (an error, a
@@ -738,14 +748,45 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     trees = c.payload["trees"]
     if c.kind == "tree":
         return _tree_leaf_values(_tree_walk(trees[0], narrow), matrix, np.arange(len(matrix)))
-    total = len(trees)
-    # The fewest votes whose score reaches floor, by the final score's own
-    # division; a row short of them with the trees left cannot reach floor.
+    return _forest_votes(_LazyWalks(trees, narrow), matrix, floor)
+
+
+class _LazyWalks:
+    """A forest's tree walks (_tree_walk), each built as it is read, so one
+    call of predict_scores holds one tree's walk arrays at a time. Built
+    for the whole forest first, they raised the `cell` benchmark's peak RSS
+    from 52 to 57 MB."""
+
+    def __init__(self, trees: list, narrow: bool) -> None:
+        self.trees, self.narrow = trees, narrow
+
+    def __len__(self) -> int:
+        return len(self.trees)
+
+    def __getitem__(self, t: int) -> dict:
+        return _tree_walk(self.trees[t], self.narrow)
+
+
+def _forest_walks(c: Classifier, narrow: bool) -> list[dict]:
+    """The walk arrays of every tree of the forest c, built once for many
+    calls of _forest_votes; narrow as in _tree_walk."""
+    return [_tree_walk(tree, narrow) for tree in c.payload["trees"]]
+
+
+def _forest_votes(walks, X: np.ndarray, floor: float) -> np.ndarray:
+    """predict_scores of a forest at floor, from its tree walks (a sequence,
+    in tree order) over X, C-contiguous and of the dtype they were made for.
+
+    The fewest votes whose score reaches floor, by the final score's own
+    division, is need; after each tree, a row short of need with the trees
+    left cannot reach floor and is walked no further.
+    """
+    total = len(walks)
     need = int(np.searchsorted(np.arange(total + 1) / total, floor))
-    votes = np.zeros(matrix.shape[0], dtype=np.int64)
-    rows = np.arange(matrix.shape[0])  # the rows that can still reach floor
-    for t, tree in enumerate(trees, 1):
-        votes[rows] += _tree_leaf_values(_tree_walk(tree, narrow), matrix, rows) >= 0.5
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])  # the rows that can still reach floor
+    for t, walk in enumerate(walks, 1):
+        votes[rows] += _tree_leaf_values(walk, X, rows) >= 0.5
         if total - t < need:
             rows = rows[votes[rows] + (total - t) >= need]
     return votes / total

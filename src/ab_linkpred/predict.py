@@ -6,14 +6,17 @@ intermediate state, so features (including centrality orderings) reflect
 previously added edges, until a step adds nothing or the step limit is hit.
 The model is never retrained during completion.
 
-A step scores its non-edges with predict_scores(..., floor=epsilon): a
-forest stops voting on a pair as soon as its score can no longer reach
-epsilon, so a step walks far fewer trees than full scoring, while every
-added edge and its recorded score are exactly those of full scoring. Each
-tree is walked in this process over the pairs still unfinished, a few
-levels between looks for pairs at a leaf, with the features as int16 when
-they fit (see model._tree_leaf_values). The trace records each pass's
-scored non-edges, added edges and seconds as its steps.
+A step scores its non-edges at the floor epsilon: a forest stops voting on
+a pair as soon as its score can no longer reach epsilon, so a step walks
+far fewer trees than full scoring, while every added edge and its recorded
+score are exactly those of full scoring (see model.predict_scores). The
+forest's walk arrays are built once per run (model._forest_walks). A step
+never holds a row for every non-edge: it cuts them into row chunks over one
+block table of every root, and each chunk is gathered, cast to int16 when
+node IDs fit, scored and reduced to its pairs at or above epsilon. Large
+steps score their chunks on forked workers (model._fork_map), small ones
+here; either way the batch is the same (see _step). The trace records each
+pass's scored non-edges, added edges and seconds as its steps.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import as_int, as_unit
-from .featurize import FeatureConfig, _edge_index, _feature_rows, _pair_index, _pair_nodes, config_from_dict
+from .featurize import (FeatureConfig, _block_table, _edge_index, _finish_rows, _gathered_rows, _pair_index,
+                        _pair_nodes, config_from_dict)
 from .graph import Graph
-from .model import Classifier, predict_scores
+from .model import Classifier, _fork_map, _fork_workers, _forest_votes, _forest_walks, predict_scores
 
 MODES = ("iterative", "noniterative")
 
@@ -91,13 +95,63 @@ def _feature_config(model: Classifier, feat: FeatureConfig | None) -> FeatureCon
     return feat
 
 
-def _step(g: Graph, model: Classifier, feat: FeatureConfig, epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
+# A step's non-edges are scored in chunks of at most this many rows, so
+# that no matrix holds every non-edge: 3.7 MB of int32 rows at a=2 b=1.
+_CHUNK_ROWS = 2**16
+# A step's chunks are scored on forked workers from this many non-edges x
+# trees on (see _step). Measured as one _step on 2 forked workers against
+# this process, a 100-tree a=3 b=1 forest at epsilon 0.9 on community
+# graphs (medians of 15 alternating calls, 2 shared CPUs): 1.29x the time at
+# 0.33M, 1.03x at 0.74M, 0.98x at 0.87M, 0.92x at 1.0M, 0.90x at 1.65M and
+# 0.72x at 5.28M, the 52.8k non-edges of the 333-node fixture.
+_FORK_MIN_ROW_TREES = 1_000_000
+
+
+def _fits_int16(g: Graph) -> bool:
+    """Whether g's rows fit int16 (see model._narrows_to_int16): every value
+    of a row is a node ID in 0..n."""
+    return g.node_count < 2**15
+
+
+def _step(g: Graph, model: Classifier, walks: list[dict] | None, feat: FeatureConfig,
+          epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
-    candidate-pair order, and the number of non-edges scored."""
-    u, v = _pair_nodes(np.delete(np.arange(_pair_index(g.node_count + 1, 1)), _edge_index(g)))
-    scores = predict_scores(model, _feature_rows(g, feat, u, v, np.zeros(len(u), bool), None), floor=epsilon)
-    keep = scores >= epsilon
-    return list(zip(u[keep].tolist(), v[keep].tolist(), scores[keep].tolist())), len(u)
+    candidate-pair order, and the number of non-edges scored.
+
+    The non-edges are ranks 0 .. rows - 1 among the pair indices outside the
+    edge index; they are cut into contiguous, near-equal chunks of at most
+    _CHUNK_ROWS rows, at least one per worker. Each chunk turns its ranks
+    into pairs, gathers its rows from one block table of every root, casts
+    them to int16 when node IDs fit (_fits_int16), scores them at the
+    epsilon floor, a forest's with its walks (model._forest_votes), other
+    kinds' with predict_scores, and keeps only the rows at or above it. A score depends on its row alone, so the
+    chunks, joined in rank order, give the same batch however they are cut
+    and wherever they run: on _fork_map's workers when rows x trees reaches
+    _FORK_MIN_ROW_TREES and model._fork_workers allows it, else here.
+    """
+    n = g.node_count
+    edges = _edge_index(g)
+    rows = _pair_index(n + 1, 1) - len(edges)
+    orders, blocks = _block_table(g, feat, range(1, n + 1), None)
+    workers = _fork_workers(rows * (len(walks) if walks else 1), _FORK_MIN_ROW_TREES, rows)
+    chunks = max(workers, -(-rows // _CHUNK_ROWS))
+    # The r-th non-edge is pair index r plus the edges with at most r
+    # non-edges before them (see featurize._balanced_row_indices).
+    gaps = edges - np.arange(len(edges))
+
+    def scored(i: int):
+        ranks = np.arange(rows * i // chunks, rows * (i + 1) // chunks)
+        u, v = _pair_nodes(ranks + np.searchsorted(gaps, ranks, side="right"))
+        X = _gathered_rows(blocks, feat, u, v)
+        _finish_rows(X, orders, blocks, feat, u, v, np.zeros(len(u), bool))
+        if _fits_int16(g):
+            X = X.astype(np.int16)
+        scores = predict_scores(model, X, floor=epsilon) if walks is None else _forest_votes(walks, X, epsilon)
+        keep = scores >= epsilon
+        return u[keep], v[keep], scores[keep]
+
+    u, v, scores = (np.concatenate(parts) for parts in zip(*_fork_map(scored, chunks, workers)))
+    return list(zip(u.tolist(), v.tolist(), scores.tolist())), rows
 
 
 def complete(
@@ -114,13 +168,14 @@ def complete(
     max_steps steps, so every batch is nonempty.
     """
     feat = _feature_config(model, feat)
+    walks = _forest_walks(model, _fits_int16(g)) if model.kind == "forest" else None
     work = g.copy()
     batches: list[list[tuple[int, int, float]]] = []
     steps: list[dict] = []
     limit = 1 if cfg.mode == "noniterative" else cfg.max_steps
     while limit is None or len(batches) < limit:
         start = time.perf_counter()
-        batch, scored = _step(work, model, feat, cfg.epsilon)
+        batch, scored = _step(work, model, walks, feat, cfg.epsilon)
         steps.append({"non_edges": scored, "added": len(batch), "seconds": time.perf_counter() - start})
         if not batch and cfg.mode == "iterative":
             break

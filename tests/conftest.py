@@ -1,11 +1,12 @@
 import contextlib
+import multiprocessing
 import os
 import signal
 
 import pytest
 
 from ab_linkpred import load_edge_list
-from ab_linkpred import model
+from ab_linkpred import model, predict
 
 from graphgen import community_edges, edge_text, graph_from_edges, two_cliques_edges
 
@@ -57,6 +58,19 @@ def pytest_runtest_call(item):
         return (yield)
 
 
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fails a test that leaves a multiprocessing child running, from either
+    forked path (forest training or completion), and stops such children so
+    that they do not outlive the test."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"the test left {len(left)} worker process(es) running"
+
+
 @pytest.fixture(scope="session")
 def g333_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "ego333.txt"
@@ -76,6 +90,7 @@ def two_k6():
 
 _TEST_PID = os.getpid()
 _GROW_TREES = model._grow_trees
+_FOREST_VOTES = predict._forest_votes
 
 
 def _die_in_worker(*args):
@@ -90,6 +105,22 @@ def dying_forest_workers(monkeypatch):
     """Two usable CPUs, and forest worker processes that die on their first batch of trees."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(model, "_grow_trees", _die_in_worker)
+
+
+def _die_in_completion_worker(*args):
+    """model._forest_votes, except that a completion worker process exits at once."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _FOREST_VOTES(*args)
+
+
+@pytest.fixture()
+def dying_completion_workers(monkeypatch):
+    """Two usable CPUs, completion steps scored on forked workers whatever
+    their size, and completion workers that die on their first chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(predict, "_FORK_MIN_ROW_TREES", 0)
+    monkeypatch.setattr(predict, "_forest_votes", _die_in_completion_worker)
 
 
 @pytest.fixture()

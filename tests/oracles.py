@@ -15,7 +15,9 @@ level-wise builder that train uses. The forest vote reference walks every
 row through every tree one node at a time, the plain form of the walk that
 predict_scores runs: that one moves all unfinished rows of a batch down a
 level by one gather from the paired child pointers, and drops rows at their
-leaves and rows that can no longer reach the floor.
+leaves and rows that can no longer reach the floor. The completion
+reference scores every non-edge of each state in full, as one matrix, the
+plain form of the chunked, floored and possibly forked steps of complete.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ab_linkpred import Dataset, ordered_neighbors, table_for
+from ab_linkpred import Dataset, build_dataset, ordered_neighbors, predict_scores, table_for
 from ab_linkpred._seeds import derive_seed
-from ab_linkpred.featurize import _feature_rows
+from ab_linkpred.featurize import _block_table, _finish_rows, _gathered_rows
 from ab_linkpred.model import _tree_arrays
 
 INF = float("inf")
@@ -224,7 +226,9 @@ def dense_dataset(g, config, pairs=None):
     else:
         u, v = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
         edge = adjacency(g)[u, v]
-    X = _feature_rows(g, config, u, v, edge, None)
+    orders, blocks = _block_table(g, config, np.unique(np.concatenate([u, v])).tolist(), None)
+    X = _gathered_rows(blocks, config, u, v)
+    _finish_rows(X, orders, blocks, config, u, v, edge)
     return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
 
 
@@ -351,3 +355,22 @@ def reference_leaf_values(c, X):
 def reference_forest_votes(c, X):
     """Per tree and row, 1 where the row's leaf votes positive (value >= 0.5)."""
     return (reference_leaf_values(c, X) >= 0.5).astype(np.int64)
+
+
+def reference_completion(g, model, cfg, feat):
+    """complete's batches and its steps as (non_edges, added), each state's
+    non-edges listed in candidate-pair order and all scored in full."""
+    state = g.copy()
+    batches, steps = [], []
+    limit = 1 if cfg.mode == "noniterative" else cfg.max_steps
+    while limit is None or len(batches) < limit:
+        pairs = [(u, v) for u, v in state.candidate_pairs() if not state.has_edge(u, v)]
+        scores = predict_scores(model, build_dataset(state, feat, pairs=pairs).X).tolist() if pairs else []
+        batch = [(u, v, s) for (u, v), s in zip(pairs, scores) if s >= cfg.epsilon]
+        steps.append((len(pairs), len(batch)))
+        if not batch and cfg.mode == "iterative":
+            break
+        for u, v, _ in batch:
+            state.add_edge(u, v)
+        batches.append(batch)
+    return batches, steps

@@ -486,6 +486,18 @@ def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dyi
     assert not os.path.exists(str(model) + ".manifest.json")
 
 
+def test_complete_exits_2_when_a_completion_worker_dies(gnm_file, tmp_path, capsys, dying_completion_workers):
+    model = tmp_path / "m.json"
+    assert main(["train", str(gnm_file), "--a", "2", "--b", "1", "--out", str(model)]) == 0
+    capsys.readouterr()
+    added = tmp_path / "added.txt"
+    assert main(["complete", str(gnm_file), "--model", str(model), "--epsilon", "0.5", "--out", str(added)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a forest worker process died")
+    assert not added.exists()
+    assert not os.path.exists(str(added) + ".manifest.json")
+
+
 def test_train_eval_complete_round_trip(clique_file, tmp_path, capsys):
     model = tmp_path / "m.json"
     assert main(["train", str(clique_file), "--a", "2", "--b", "1", "--seed", "5",

@@ -1102,21 +1102,11 @@ def test_a_thread_unknown_to_threading_grows_its_forest_in_this_process(monkeypa
     assert threading.active_count() == 1  # the check registered no thread, so later forests still fork
 
 
-def _stop_children():
-    """The child processes still running; they are stopped, so a failing
-    test does not leave the suite waiting on them at exit."""
-    left = multiprocessing.active_children()
-    for child in left:
-        child.kill()
-        child.join()
-    return left
-
-
 def test_a_dead_worker_raises_and_leaves_no_process(dying_forest_workers, pools, fixture_forests_fork):
     with pytest.raises(ChildProcessError, match="worker process died"):
         _trained_bytes("forest", None)
     assert pools == [2]
-    assert _stop_children() == []
+    assert multiprocessing.active_children() == []  # conftest's no_worker_left stops any left
 
 
 def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools, fixture_forests_fork):
@@ -1134,14 +1124,17 @@ def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools, fix
     with pytest.raises(OSError):
         _trained_bytes("forest", None)
     assert pools == [3] and len(forks) == 3
-    assert _stop_children() == []
+    assert multiprocessing.active_children() == []  # conftest's no_worker_left stops any left
 
 
 _KILLED_PARENT_SCRIPT = """
 import os
+import signal
 import numpy as np
 from ab_linkpred import model, train
 
+# A background job of a shell starts with SIGINT ignored; Ctrl-C must reach this one.
+signal.signal(signal.SIGINT, signal.default_int_handler)
 os.sched_getaffinity = lambda pid: {0, 1}
 grow_trees = model._grow_trees
 

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +22,13 @@ from ab_linkpred import (
     train,
 )
 
+from ab_linkpred import predict
+from ab_linkpred.centrality import STRATEGY_KINDS
 from ab_linkpred.evaluate import cell_config
+from ab_linkpred.model import _forest_walks
 
 from graphgen import gnm_edges, graph_from_edges, two_cliques_edges
+from oracles import reference_completion
 
 
 def trained_on(g, cfg, seed=3):
@@ -235,3 +244,108 @@ def test_a_trace_built_from_batches_and_graph_has_no_steps():
     g = graph_from_edges(two_cliques_edges(3))
     trace = CompletionTrace([[(4, 1, 1.0)]], g)
     assert trace.steps == [] and trace.added_edges == [(4, 1, 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# Completion steps in row chunks, on forked workers
+
+
+@pytest.fixture()
+def completion_forks(monkeypatch):
+    """The worker counts above 1 that completion steps were scored with while it is in use."""
+    started = []
+    fork_map = predict._fork_map
+
+    def recording(fn, count, workers):
+        if workers > 1:
+            started.append(workers)
+        return fork_map(fn, count, workers)
+
+    monkeypatch.setattr(predict, "_fork_map", recording)
+    return started
+
+
+def forked_chunks(monkeypatch, cpus, chunk_rows=7):
+    """cpus usable CPUs, steps forked whatever their size, and chunks of chunk_rows rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(predict, "_FORK_MIN_ROW_TREES", 0)
+    monkeypatch.setattr(predict, "_CHUNK_ROWS", chunk_rows)
+
+
+def step_counts(trace):
+    return [(step["non_edges"], step["added"]) for step in trace.steps]
+
+
+RUNS = [
+    CompletionConfig(0.5, "noniterative"),
+    CompletionConfig(0.5, "iterative"),  # to the fixed point
+    CompletionConfig(0.3, "iterative", max_steps=2),
+]
+
+
+@pytest.mark.parametrize("ordering", STRATEGY_KINDS)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_chunked_and_forked_completion_equals_full_rescoring(monkeypatch, completion_forks, cpus, ordering):
+    g = graph_from_edges(gnm_edges(22, 36, seed=STRATEGY_KINDS.index(ordering) + 3))
+    for mask in (False, True):
+        cfg = FeatureConfig(a=2, b=1, strategy=Strategy(ordering, seed=5), mask_pair_edge=mask, seed=5)
+        model = trained_on(g, cfg, seed=5)
+        forks = len(completion_forks)
+        in_process = [complete(g, model, run, cfg) for run in RUNS]  # one chunk, below the crossover
+        assert len(completion_forks) == forks
+        with monkeypatch.context() as patched:
+            forked_chunks(patched, cpus)
+            chunked = [complete(g, model, run, cfg) for run in RUNS]
+        for run, one, many in zip(RUNS, in_process, chunked):
+            batches, steps = reference_completion(g, model, run, cfg)
+            assert one.batches == many.batches == batches
+            assert step_counts(one) == step_counts(many) == steps
+            assert sorted(edge_set(many.final_graph)) == sorted(edge_set(one.final_graph))
+        assert len(chunked[1].steps) >= 2  # the fixed point takes more than one step
+    # Every step of the chunked runs forked, one worker per CPU.
+    assert completion_forks == ([] if cpus == 1 else [cpus] * len(completion_forks))
+    assert cpus == 1 or len(completion_forks) >= 2 * len(RUNS)
+
+
+def test_a_dead_completion_worker_raises_and_leaves_no_process(dying_completion_workers):
+    g = graph_from_edges(gnm_edges(30, 60, seed=12))
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=12)
+    model = trained_on(g, cfg, seed=12)
+    with pytest.raises(ChildProcessError, match="worker process died"):
+        complete(g, model, CompletionConfig(0.5, "iterative"), cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_completion_on_a_second_thread_stays_in_this_process(monkeypatch, completion_forks):
+    g = graph_from_edges(gnm_edges(30, 60, seed=12))
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=12)
+    model = trained_on(g, cfg, seed=12)
+    run = CompletionConfig(0.5, "iterative")
+    forked_chunks(monkeypatch, 2)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(complete(g, model, run, cfg)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert completion_forks == []
+    assert out[0].batches == complete(g, model, run, cfg).batches
+    assert completion_forks  # the same run on the main thread forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_chunked_step_holds_less_than_one_whole_step_matrix(monkeypatch, cpus):
+    g = graph_from_edges(gnm_edges(300, 900, seed=7))
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
+    model = trained_on(g, cfg, seed=7)
+    walks = _forest_walks(model, True)
+    forked_chunks(monkeypatch, cpus, chunk_rows=2048)
+    whole = (g.node_count * (g.node_count - 1) // 2 - g.edge_count) * cfg.row_length * 4  # int32 rows
+    tracemalloc.start()
+    try:
+        batch, scored = predict._step(g, model, walks, cfg, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scored * cfg.row_length * 4 == whole and len(batch) < 1000
+    assert peak < whole / 4, f"a chunked step peaked at {peak} bytes, against {whole} for the whole step's rows"
+    assert [batch] == reference_completion(g, model, CompletionConfig(0.9, "noniterative"), cfg)[0]
