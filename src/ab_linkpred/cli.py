@@ -1,6 +1,7 @@
 """Command-line entry point: stats, centrality, sweep, train, eval, complete.
 
-Exit codes: 0 success, 1 usage error, 2 data or model error. Any flag value
+Exit codes: 0 success, 1 usage error, 2 data or model error, 130 stopped by
+Ctrl-C (SIGINT), with one stderr line and no traceback. Any flag value
 that is out of range or conflicts with another flag is a usage error, and so
 is an output path that names an input, another output or a directory, or
 whose directory is missing; flags and output paths are checked before any
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as err:  # numpy's MemoryError names the size it refused
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports a run that Ctrl-C stopped
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

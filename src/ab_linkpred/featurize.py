@@ -321,19 +321,23 @@ def _as_test_fraction(test_fraction) -> float:
     return as_real(test_fraction, "test_fraction", "in (0, 1)", lambda f: 0 < f < 1)
 
 
+def _outside(index: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The integers of the given ranks (from 0) among the non-negative
+    integers outside index (sorted, distinct): rank j's is j plus the
+    number of index entries with at most j outsiders before them."""
+    return ranks + np.searchsorted(index - np.arange(len(index)), ranks, side="right")
+
+
 def _balanced_row_indices(pos: np.ndarray, rows: int, negative_ratio: float, seed: int) -> np.ndarray:
     """Sorted indices, out of rows, of the positive rows pos (sorted) and a
-    seeded sample of the others. The sample draws ranks j among the
-    negative rows; the j-th negative row is j plus the number of positives
-    with at most j negatives before them."""
+    seeded sample of the others, drawn as ranks among the negative rows."""
     negative_ratio = _as_ratio(negative_ratio)
     if len(pos) == 0:
         raise ValueError("cannot balance a dataset with no positive rows")
     want = int(min(negative_ratio * len(pos), rows - len(pos)))
     rng = random.Random(derive_seed(seed, "balance"))
     chosen = np.array(rng.sample(range(rows - len(pos)), want), dtype=np.int64)
-    neg = chosen + np.searchsorted(pos - np.arange(len(pos)), chosen, side="right")
-    return np.sort(np.concatenate([pos, neg]))
+    return np.sort(np.concatenate([pos, _outside(pos, chosen)]))
 
 
 def balance(d: Dataset, negative_ratio: float, seed: int) -> Dataset:

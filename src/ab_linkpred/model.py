@@ -22,9 +22,10 @@ models serialize to plain JSON:
   Scoring walks each tree over the rows still unfinished: a state 2 * node
   per row, leaves that loop to themselves so finished rows are looked for
   only every few levels, and the features as int16 when every value fits.
-  predict_scores walks in this process; a completion step may score its
-  row chunks on the same forked workers (see _forest_votes and
-  predict._step).
+  _scores scores every kind: predict_scores builds each tree's walk as it
+  is read, and a completion step, which may score its row chunks on the
+  same forked workers, reads walks built once per run (see _forest_walks
+  and predict._step).
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -150,12 +151,15 @@ def _small_int(top: int):
 
 def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each value's rank among the distinct values of its column, and those
-    distinct values: column c's, ascending, are values[offsets[c]:offsets[c + 1]]."""
-    ranks = np.empty(X.shape, dtype=_small_int(X.shape[0] - 1))
-    distinct = []
+    distinct values: column c's, ascending, are values[offsets[c]:offsets[c + 1]].
+    The ranks' dtype holds the most distinct values of any column, which
+    may be far fewer than the rows."""
+    distinct, inverses = [], []
     for col in range(X.shape[1]):
-        column_values, ranks[:, col] = np.unique(X[:, col], return_inverse=True)
+        column_values, inverse = np.unique(X[:, col], return_inverse=True)
         distinct.append(column_values)
+        inverses.append(inverse.astype(_small_int(len(column_values) - 1)))
+    ranks = np.stack(inverses, axis=1, dtype=_small_int(max(map(len, distinct)) - 1))
     offsets = np.cumsum([0] + [len(column_values) for column_values in distinct])
     return ranks, np.concatenate(distinct), offsets
 
@@ -588,7 +592,7 @@ def _fork_map(fn, count: int, workers: int) -> list:
                 out[w::workers] = reader.recv()
             except EOFError:
                 process.join()
-                raise ChildProcessError(f"a forest worker process died with exit code {process.exitcode}") from None
+                raise ChildProcessError(f"a worker process died with exit code {process.exitcode}") from None
     finally:
         signal.signal(signal.SIGINT, previous)
         for process, reader in started:
@@ -725,7 +729,8 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
 
 
 def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
-    """Scores in [0, 1] for a batch of rows; pure, so batch order is irrelevant.
+    """Scores in [0, 1] for a batch of rows; a row's score depends on that
+    row alone, so batch order and size are irrelevant, to the last bit.
 
     Feature values must be finite numbers, else ValueError. Only the rows
     scoring at least floor (in [0, 1]) need their exact score: a forest
@@ -740,48 +745,39 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
     floor = as_unit(floor, "floor")
-    if c.kind == "logistic":
-        return _sigmoid(matrix.astype(np.float64) @ c.payload["weights"] + c.payload["bias"])
-    # The walk reads its rows in place, as int16 when every value fits.
     narrow = _narrows_to_int16(matrix)
-    matrix = np.ascontiguousarray(matrix, dtype=np.int16 if narrow else None)
-    trees = c.payload["trees"]
-    if c.kind == "tree":
-        return _tree_leaf_values(_tree_walk(trees[0], narrow), matrix, np.arange(len(matrix)))
-    return _forest_votes(_LazyWalks(trees, narrow), matrix, floor)
-
-
-class _LazyWalks:
-    """A forest's tree walks (_tree_walk), each built as it is read, so one
-    call of predict_scores holds one tree's walk arrays at a time. Built
-    for the whole forest first, they raised the `cell` benchmark's peak RSS
-    from 52 to 57 MB."""
-
-    def __init__(self, trees: list, narrow: bool) -> None:
-        self.trees, self.narrow = trees, narrow
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __getitem__(self, t: int) -> dict:
-        return _tree_walk(self.trees[t], self.narrow)
+    # Each tree's walk is built as it is read, so a call holds one tree's
+    # walk arrays at a time: built for the whole forest first, they raised
+    # the `cell` benchmark's peak RSS from 52 to 57 MB.
+    return _scores(c, (_tree_walk(tree, narrow) for tree in c.payload.get("trees", ())), narrow, matrix, floor)
 
 
 def _forest_walks(c: Classifier, narrow: bool) -> list[dict]:
-    """The walk arrays of every tree of the forest c, built once for many
-    calls of _forest_votes; narrow as in _tree_walk."""
-    return [_tree_walk(tree, narrow) for tree in c.payload["trees"]]
+    """The walk arrays of every tree of c (none for a logistic model),
+    built once for many calls of _scores; narrow as in _tree_walk."""
+    return [_tree_walk(tree, narrow) for tree in c.payload.get("trees", ())]
 
 
-def _forest_votes(walks, X: np.ndarray, floor: float) -> np.ndarray:
-    """predict_scores of a forest at floor, from its tree walks (a sequence,
-    in tree order) over X, C-contiguous and of the dtype they were made for.
+def _scores(c: Classifier, walks, narrow: bool, X: np.ndarray, floor: float) -> np.ndarray:
+    """predict_scores of c at floor over the checked rows X, from the walks
+    of its trees (an iterable in tree order, built with narrow; a logistic
+    model reads none).
 
-    The fewest votes whose score reaches floor, by the final score's own
-    division, is need; after each tree, a row short of need with the trees
-    left cannot reach floor and is walked no further.
+    The walk reads X in place, C-contiguous and as int16 when narrow. A
+    forest's fewest votes whose score reaches floor, by the final score's
+    own division, is need; after each tree, a row short of need with the
+    trees left cannot reach floor and is walked no further.
     """
-    total = len(walks)
+    if c.kind == "logistic":
+        # Summed one column at a time: the last bits of a matrix product's
+        # row depend on the rows multiplied with it, so row chunks would
+        # score differently from one matrix.
+        Xf = X.astype(np.float64)
+        return _sigmoid(sum(Xf[:, j] * weight for j, weight in enumerate(c.payload["weights"])) + c.payload["bias"])
+    X = np.ascontiguousarray(X, dtype=np.int16 if narrow else None)
+    if c.kind == "tree":
+        return _tree_leaf_values(next(iter(walks)), X, np.arange(len(X)))
+    total = len(c.payload["trees"])
     need = int(np.searchsorted(np.arange(total + 1) / total, floor))
     votes = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])  # the rows that can still reach floor

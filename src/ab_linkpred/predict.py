@@ -10,13 +10,14 @@ A step scores its non-edges at the floor epsilon: a forest stops voting on
 a pair as soon as its score can no longer reach epsilon, so a step walks
 far fewer trees than full scoring, while every added edge and its recorded
 score are exactly those of full scoring (see model.predict_scores). The
-forest's walk arrays are built once per run (model._forest_walks). A step
+model's walk arrays are built once per run (model._forest_walks). A step
 never holds a row for every non-edge: it cuts them into row chunks over one
-block table of every root, and each chunk is gathered, cast to int16 when
-node IDs fit, scored and reduced to its pairs at or above epsilon. Large
-steps score their chunks on forked workers (model._fork_map), small ones
-here; either way the batch is the same (see _step). The trace records each
-pass's scored non-edges, added edges and seconds as its steps.
+block table of every root, and each chunk is gathered, scored by
+model._scores (as int16 when node IDs fit) and reduced to its pairs at or
+above epsilon. Large steps score their chunks on forked workers
+(model._fork_map), small ones here; either way the batch is the same (see
+_step). The trace records each pass's scored non-edges, added edges and
+seconds as its steps.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import as_int, as_unit
-from .featurize import (FeatureConfig, _block_table, _edge_index, _finish_rows, _gathered_rows, _pair_index,
-                        _pair_nodes, config_from_dict)
+from .featurize import (FeatureConfig, _block_table, _edge_index, _finish_rows, _gathered_rows, _outside,
+                        _pair_index, _pair_nodes, config_from_dict)
 from .graph import Graph
-from .model import Classifier, _fork_map, _fork_workers, _forest_votes, _forest_walks, predict_scores
+from .model import Classifier, _fork_map, _fork_workers, _forest_walks, _scores
 
 MODES = ("iterative", "noniterative")
 
@@ -113,7 +114,7 @@ def _fits_int16(g: Graph) -> bool:
     return g.node_count < 2**15
 
 
-def _step(g: Graph, model: Classifier, walks: list[dict] | None, feat: FeatureConfig,
+def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
           epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
     candidate-pair order, and the number of non-edges scored.
@@ -121,32 +122,26 @@ def _step(g: Graph, model: Classifier, walks: list[dict] | None, feat: FeatureCo
     The non-edges are ranks 0 .. rows - 1 among the pair indices outside the
     edge index; they are cut into contiguous, near-equal chunks of at most
     _CHUNK_ROWS rows, at least one per worker. Each chunk turns its ranks
-    into pairs, gathers its rows from one block table of every root, casts
-    them to int16 when node IDs fit (_fits_int16), scores them at the
-    epsilon floor, a forest's with its walks (model._forest_votes), other
-    kinds' with predict_scores, and keeps only the rows at or above it. A score depends on its row alone, so the
-    chunks, joined in rank order, give the same batch however they are cut
-    and wherever they run: on _fork_map's workers when rows x trees reaches
+    into pairs, gathers its rows from one block table of every root, scores
+    them at the epsilon floor with the model's walks (model._scores, as
+    int16 when node IDs fit, see _fits_int16) and keeps only the rows at or
+    above it. A score depends on its row alone, so the chunks, joined in
+    rank order, give the same batch however they are cut and wherever they
+    run: on _fork_map's workers when rows x trees reaches
     _FORK_MIN_ROW_TREES and model._fork_workers allows it, else here.
     """
     n = g.node_count
     edges = _edge_index(g)
     rows = _pair_index(n + 1, 1) - len(edges)
     orders, blocks = _block_table(g, feat, range(1, n + 1), None)
-    workers = _fork_workers(rows * (len(walks) if walks else 1), _FORK_MIN_ROW_TREES, rows)
+    workers = _fork_workers(rows * len(walks), _FORK_MIN_ROW_TREES, rows)
     chunks = max(workers, -(-rows // _CHUNK_ROWS))
-    # The r-th non-edge is pair index r plus the edges with at most r
-    # non-edges before them (see featurize._balanced_row_indices).
-    gaps = edges - np.arange(len(edges))
 
     def scored(i: int):
-        ranks = np.arange(rows * i // chunks, rows * (i + 1) // chunks)
-        u, v = _pair_nodes(ranks + np.searchsorted(gaps, ranks, side="right"))
+        u, v = _pair_nodes(_outside(edges, np.arange(rows * i // chunks, rows * (i + 1) // chunks)))
         X = _gathered_rows(blocks, feat, u, v)
         _finish_rows(X, orders, blocks, feat, u, v, np.zeros(len(u), bool))
-        if _fits_int16(g):
-            X = X.astype(np.int16)
-        scores = predict_scores(model, X, floor=epsilon) if walks is None else _forest_votes(walks, X, epsilon)
+        scores = _scores(model, walks, _fits_int16(g), X, epsilon)
         keep = scores >= epsilon
         return u[keep], v[keep], scores[keep]
 
@@ -168,7 +163,7 @@ def complete(
     max_steps steps, so every batch is nonempty.
     """
     feat = _feature_config(model, feat)
-    walks = _forest_walks(model, _fits_int16(g)) if model.kind == "forest" else None
+    walks = _forest_walks(model, _fits_int16(g))
     work = g.copy()
     batches: list[list[tuple[int, int, float]]] = []
     steps: list[dict] = []

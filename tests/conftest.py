@@ -90,7 +90,7 @@ def two_k6():
 
 _TEST_PID = os.getpid()
 _GROW_TREES = model._grow_trees
-_FOREST_VOTES = predict._forest_votes
+_SCORES = predict._scores
 
 
 def _die_in_worker(*args):
@@ -108,10 +108,10 @@ def dying_forest_workers(monkeypatch):
 
 
 def _die_in_completion_worker(*args):
-    """model._forest_votes, except that a completion worker process exits at once."""
+    """model._scores, except that a completion worker process exits at once."""
     if os.getpid() != _TEST_PID:
         os._exit(1)
-    return _FOREST_VOTES(*args)
+    return _SCORES(*args)
 
 
 @pytest.fixture()
@@ -120,7 +120,7 @@ def dying_completion_workers(monkeypatch):
     their size, and completion workers that die on their first chunk."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(predict, "_FORK_MIN_ROW_TREES", 0)
-    monkeypatch.setattr(predict, "_forest_votes", _die_in_completion_worker)
+    monkeypatch.setattr(predict, "_scores", _die_in_completion_worker)
 
 
 @pytest.fixture()

@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import copy
 import hashlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -37,13 +39,17 @@ def gnm_file(tmp_path):
     return path
 
 
+def python_env():
+    """The environment of a fresh interpreter that can import ab_linkpred."""
+    src = os.path.dirname(os.path.dirname(ab_linkpred.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args, input=None):
     """`python ARGS` in a fresh interpreter that can import ab_linkpred, fed
     input on stdin, killed after 60 s."""
-    src = os.path.dirname(os.path.dirname(ab_linkpred.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *map(str, args)],
-                          input=input, capture_output=True, text=True, env=env, timeout=60)
+                          input=input, capture_output=True, text=True, env=python_env(), timeout=60)
 
 
 def run_module(*args, module="ab_linkpred", input=None):
@@ -356,7 +362,8 @@ def test_sweep_names_the_error_type_of_a_failed_cell(gnm_file, tmp_path, capsys,
     assert main(["sweep", str(gnm_file), "--a-max", "1", "--b-max", "0", "--strategy", "degree",
                  "--seeds", "1", "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("cell a=1 b=0 degree seed=1 failed: ChildProcessError: a forest worker process died")
+    assert err[0].startswith("cell a=1 b=0 degree seed=1 failed: "
+                             "ChildProcessError: a worker process died with exit code ")
     assert "(1 failed)" in err[1]
     assert len(out.read_text().splitlines()) == 2
 
@@ -481,7 +488,52 @@ def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dyi
     model = tmp_path / "m.json"
     assert main(["train", str(gnm_file), "--a", "2", "--b", "1", "--out", str(model)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: a forest worker process died")
+    assert len(err) == 1 and err[0].startswith("error: a worker process died with exit code ")
+    assert not model.exists()
+    assert not os.path.exists(str(model) + ".manifest.json")
+
+
+_ANNOUNCED_TRAIN_SCRIPT = """
+import os
+import signal
+import sys
+from ab_linkpred import cli, model
+
+# A background job of a shell starts with SIGINT ignored; Ctrl-C must reach this one.
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.sched_getaffinity = lambda pid: {0, 1}
+model.DEFAULT_PARAMS["forest"]["tree_count"] = 10_000
+grow_trees = model._grow_trees
+
+def announce(*args):
+    print("worker", os.getpid(), flush=True)
+    return grow_trees(*args)
+
+model._grow_trees = announce
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_ctrl_c_stops_a_forked_train_with_exit_130_and_one_line(gnm_file, tmp_path):
+    model = tmp_path / "m.json"
+    # `ab-linkpred train` growing a 10,000-tree forest on 2 workers, in a
+    # process group of its own; each batch of trees prints a `worker` line first.
+    parent = subprocess.Popen([sys.executable, "-c", _ANNOUNCED_TRAIN_SCRIPT, "train", str(gnm_file), "--a", "2",
+                               "--b", "1", "--out", str(model)], env=python_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert parent.stdout.readline().startswith("worker")
+        os.killpg(parent.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
+        err = parent.communicate(timeout=30)[1]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(parent.pid, 0)  # no process of the group is left
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(parent.pid, signal.SIGKILL)
+        parent.stdout.close()
+        parent.stderr.close()
+    assert parent.returncode == 130
+    assert err.splitlines() == ["error: interrupted"]
     assert not model.exists()
     assert not os.path.exists(str(model) + ".manifest.json")
 
@@ -493,7 +545,7 @@ def test_complete_exits_2_when_a_completion_worker_dies(gnm_file, tmp_path, caps
     added = tmp_path / "added.txt"
     assert main(["complete", str(gnm_file), "--model", str(model), "--epsilon", "0.5", "--out", str(added)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: a forest worker process died")
+    assert len(err) == 1 and err[0].startswith("error: a worker process died with exit code ")
     assert not added.exists()
     assert not os.path.exists(str(added) + ".manifest.json")
 

@@ -324,7 +324,7 @@ def test_sweep_records_a_dead_forest_worker(dying_forest_workers):
     g = graph_from_edges(gnm_edges(61, 270, seed=4))
     result = sweep(g, 1, 0, ["degree"], [1])
     assert result.cells[0].report is None
-    assert result.cells[0].error.startswith("ChildProcessError: a forest worker process died")
+    assert result.cells[0].error.startswith("ChildProcessError: a worker process died with exit code ")
 
 
 def test_export_csv_layout_and_re_derivation(small_sweep, tmp_path):

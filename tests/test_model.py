@@ -76,6 +76,17 @@ def test_logistic_separable_toy_rows():
     assert acc == 1.0
 
 
+def test_logistic_scores_sum_each_row_in_column_order():
+    """A logistic score is the sigmoid of its row's products summed in
+    column order, as a plain loop sums them."""
+    rng = np.random.default_rng(8)
+    X = rng.integers(-300, 300, size=(40, 9))
+    clf = train(X, (X[:, 0] + X[:, 1] > 0).astype(int), kind="logistic", seed=0)
+    weights, bias = clf.payload["weights"].tolist(), clf.payload["bias"]
+    response = [sum((x * w for x, w in zip(row, weights)), 0.0) + bias for row in X.tolist()]
+    assert predict_scores(clf, X).tobytes() == model_module._sigmoid(np.array(response)).tobytes()
+
+
 def test_logistic_zero_weights_scores_half():
     clf = train([[1.0], [2.0]], [0, 1], kind="logistic", params={"epochs": 0})
     assert predict_score(clf, [123.0]) == 0.5
@@ -103,6 +114,15 @@ def test_scores_bounded_and_batch_order_invariant(clique_split):
     perm = np.random.default_rng(0).permutation(len(scores))
     shuffled = predict_scores(clf, clique_split.Xtest[perm])
     assert np.array_equal(shuffled, scores[perm])
+
+
+@pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+def test_a_row_scores_the_same_bytes_in_a_batch_of_any_size(clique_split, kind):
+    clf = train(clique_split.Xtrain, clique_split.ytrain, kind, seed=2)
+    X = np.vstack([clique_split.Xtrain, clique_split.Xtest])
+    whole = predict_scores(clf, X).tobytes()
+    for size in (1, 7):
+        assert np.concatenate([predict_scores(clf, X[i:i + size]) for i in range(0, len(X), size)]).tobytes() == whole
 
 
 def test_forest_unanimous_vote_is_exactly_one(clique_split):
@@ -408,6 +428,44 @@ def test_a_batch_traces_a_peak_bounded_by_its_budget(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 4
     assert max(peaks) <= 128 * budget  # 79 bytes per entry measured
+
+
+def test_ranks_are_sized_by_distinct_values_not_by_rows(monkeypatch):
+    """From 65,536 rows on, columns of few distinct values keep 16-bit
+    ranks, and the trees grown on them equal those grown on int64 ranks."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 12, size=(70_000, 3))
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 8, 70_000) > 14).astype(np.int64)
+    assert model_module._dense_ranks(X)[0].dtype == np.uint16
+    narrow = save_model(train(X, y, params={"tree_count": 2}, seed=3))
+    dense_ranks = model_module._dense_ranks
+
+    def wide(X):
+        ranks, values, offsets = dense_ranks(X)
+        return ranks.astype(np.int64), values, offsets
+
+    monkeypatch.setattr(model_module, "_dense_ranks", wide)
+    assert save_model(train(X, y, params={"tree_count": 2}, seed=3)) == narrow
+
+
+def test_predict_scores_holds_one_tree_walk_at_a_time():
+    """predict_scores builds each tree's walk arrays as it walks the tree, so
+    its traced peak stays far below the whole forest's walk arrays, which
+    _forest_walks builds for a completion run."""
+    rng = np.random.default_rng(6)
+    X = rng.integers(0, 300, size=(600, 6))
+    y = (X[:, 0] + rng.integers(0, 150, 600) > 220).astype(np.int64)
+    forest = train(X, y, params={"tree_count": 200}, seed=6)
+    whole = sum(arr.nbytes for walk in model_module._forest_walks(forest, True) for arr in walk.values())
+    tracemalloc.start()
+    try:
+        scores = predict_scores(forest, X[:50])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 10, f"predict_scores peaked at {peak} bytes, against {whole} for every tree's walk"
+    votes = reference_forest_votes(forest, X[:50])
+    assert scores.tobytes() == (votes.sum(axis=0) / len(votes)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])

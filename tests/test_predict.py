@@ -31,10 +31,10 @@ from graphgen import gnm_edges, graph_from_edges, two_cliques_edges
 from oracles import reference_completion
 
 
-def trained_on(g, cfg, seed=3):
+def trained_on(g, cfg, seed=3, kind="forest"):
     data = balanced_dataset(g, cfg, 1.0)
     parts = split(data, 0.25, cfg.seed)
-    return train(parts.Xtrain, parts.ytrain, params={"tree_count": 25}, seed=seed)
+    return train(parts.Xtrain, parts.ytrain, kind, params={"tree_count": 25} if kind == "forest" else None, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -283,28 +283,44 @@ RUNS = [
 ]
 
 
+def assert_chunks_equal_full_rescoring(monkeypatch, completion_forks, g, model, cfg, cpus):
+    """Every run of RUNS, in this process and in 7-row chunks on cpus CPUs,
+    equals reference_completion."""
+    forks = len(completion_forks)
+    in_process = [complete(g, model, run, cfg) for run in RUNS]  # one chunk, below the crossover
+    assert len(completion_forks) == forks
+    with monkeypatch.context() as patched:
+        forked_chunks(patched, cpus)
+        chunked = [complete(g, model, run, cfg) for run in RUNS]
+    for run, one, many in zip(RUNS, in_process, chunked):
+        batches, steps = reference_completion(g, model, run, cfg)
+        assert one.batches == many.batches == batches
+        assert step_counts(one) == step_counts(many) == steps
+        assert sorted(edge_set(many.final_graph)) == sorted(edge_set(one.final_graph))
+    assert len(chunked[1].steps) >= 2  # the fixed point takes more than one step
+
+
 @pytest.mark.parametrize("ordering", STRATEGY_KINDS)
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_chunked_and_forked_completion_equals_full_rescoring(monkeypatch, completion_forks, cpus, ordering):
     g = graph_from_edges(gnm_edges(22, 36, seed=STRATEGY_KINDS.index(ordering) + 3))
     for mask in (False, True):
         cfg = FeatureConfig(a=2, b=1, strategy=Strategy(ordering, seed=5), mask_pair_edge=mask, seed=5)
-        model = trained_on(g, cfg, seed=5)
-        forks = len(completion_forks)
-        in_process = [complete(g, model, run, cfg) for run in RUNS]  # one chunk, below the crossover
-        assert len(completion_forks) == forks
-        with monkeypatch.context() as patched:
-            forked_chunks(patched, cpus)
-            chunked = [complete(g, model, run, cfg) for run in RUNS]
-        for run, one, many in zip(RUNS, in_process, chunked):
-            batches, steps = reference_completion(g, model, run, cfg)
-            assert one.batches == many.batches == batches
-            assert step_counts(one) == step_counts(many) == steps
-            assert sorted(edge_set(many.final_graph)) == sorted(edge_set(one.final_graph))
-        assert len(chunked[1].steps) >= 2  # the fixed point takes more than one step
+        assert_chunks_equal_full_rescoring(monkeypatch, completion_forks, g, trained_on(g, cfg, seed=5), cfg, cpus)
     # Every step of the chunked runs forked, one worker per CPU.
     assert completion_forks == ([] if cpus == 1 else [cpus] * len(completion_forks))
     assert cpus == 1 or len(completion_forks) >= 2 * len(RUNS)
+
+
+@pytest.mark.parametrize("kind", ["tree", "logistic"])
+def test_chunked_and_forked_completion_of_a_tree_or_logistic_model_equals_full_rescoring(
+        monkeypatch, completion_forks, kind):
+    g = graph_from_edges(gnm_edges(22, 36, seed=4))
+    for mask in (False, True):
+        cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), mask_pair_edge=mask, seed=5)
+        model = trained_on(g, cfg, seed=5, kind=kind)
+        assert_chunks_equal_full_rescoring(monkeypatch, completion_forks, g, model, cfg, 2)
+    assert completion_forks == [2] * len(completion_forks) and len(completion_forks) >= 2 * len(RUNS)
 
 
 def test_a_dead_completion_worker_raises_and_leaves_no_process(dying_completion_workers):
