@@ -20,12 +20,14 @@ models serialize to plain JSON:
   an equal share of the batches, with the same bytes as a serial run (see
   _train_forest and _fork_map).
   Scoring walks each tree over the rows still unfinished: a state 2 * node
-  per row, leaves that loop to themselves so finished rows are looked for
-  only every few levels, and the features as int16 when every value fits.
-  _scores scores every kind: predict_scores builds each tree's walk as it
-  is read, and a completion step, which may score its row chunks on the
-  same forked workers, reads walks built once per run (see _forest_walks
-  and predict._step).
+  per row, and leaves that loop to themselves so finished rows are looked
+  for only every few levels. A tree's walk holds both its float thresholds
+  and their int16 floors, so one walk serves every kind of row, and _scores
+  alone decides, from the rows, to walk them as int16 wherever every value
+  fits. _scores scores every kind: predict_scores builds each tree's walk
+  as it is read, and a completion step, which may score its row chunks on
+  the same forked workers, reads walks built once per run (see
+  _forest_walks and predict._step).
 * tree: a single CART tree on every row and column; the score is the
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
@@ -446,24 +448,24 @@ def _narrows_to_int16(X: np.ndarray) -> bool:
     return X.dtype.kind in "iu" and (X.size == 0 or (X.min() > -2**15 and X.max() < 2**15))
 
 
-def _tree_walk(tree: dict, narrow: bool) -> dict:
+def _tree_walk(tree: dict) -> dict:
     """The arrays _tree_leaf_values walks one tree with, indexed by the state
-    s = 2 * node: feature, threshold, leaf and value repeated twice, and
-    child the interleaved (left, right) pairs times 2. A leaf reads column 0
-    and both its children are itself, so a row stays at its leaf whatever
-    it reads. With narrow the thresholds are int16 floor(threshold) clipped
-    to the int16 range, for rows cast by _narrows_to_int16: for an integer
-    x and a real t, x > t exactly when x > floor(t).
+    s = 2 * node: feature, threshold, floor, leaf and value repeated twice,
+    and child the interleaved (left, right) pairs times 2. A leaf reads
+    column 0 and both its children are itself, so a row stays at its leaf
+    whatever it reads. floor is the int16 floor(threshold) clipped to the
+    int16 range, read in place of threshold by rows that _scores narrows to
+    int16 (see _narrows_to_int16): for an integer x and a real t, x > t
+    exactly when x > floor(t). So one walk serves every kind of row.
     """
     leaf = tree["feature"] < 0
     node = np.arange(len(leaf))
-    threshold = tree["threshold"]
-    if narrow:
-        threshold = np.clip(np.floor(threshold), -2**15, 2**15 - 1).astype(np.int16)
+    floor = np.clip(np.floor(tree["threshold"]), -2**15, 2**15 - 1).astype(np.int16)
     pairs = np.where(leaf[:, None], node[:, None], np.stack([tree["left"], tree["right"]], axis=1))
     return {
         "feature": np.repeat(np.where(leaf, 0, tree["feature"]).astype(np.intp), 2),
-        "threshold": np.repeat(threshold, 2),
+        "threshold": np.repeat(tree["threshold"], 2),
+        "floor": np.repeat(floor, 2),
         "child": 2 * pairs.ravel().astype(np.intp),
         "leaf": np.repeat(leaf, 2),
         "value": np.repeat(tree["value"], 2),
@@ -478,7 +480,8 @@ _LEAF_CHECK_LEVELS = 3
 def _tree_leaf_values(walk: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positive fraction at the leaf reached by each row X[rows] in the tree
     of walk (_tree_walk), for the row indices rows (read in place: X is
-    C-contiguous, of the dtype the walk's thresholds were made for).
+    C-contiguous). int16 rows, which must hold no -2**15, are compared with
+    the walk's floor thresholds, every other dtype with its float ones.
 
     Only the unfinished rows are walked: their positions in rows, their
     offsets into the flat matrix and their states. One level is one gather
@@ -488,7 +491,8 @@ def _tree_leaf_values(walk: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray
     the rows at a leaf take its value and leave the three arrays. Indices
     are intp and gathers use take, numpy's fastest gather for them.
     """
-    feature, threshold, child = walk["feature"], walk["threshold"], walk["child"]
+    feature, child = walk["feature"], walk["child"]
+    threshold = walk["floor" if X.dtype == np.int16 else "threshold"]
     flat = X.ravel()
     out = np.empty(len(rows))
     at = np.arange(len(rows))
@@ -745,28 +749,30 @@ def predict_scores(c: Classifier, X, *, floor: float = 0.0) -> np.ndarray:
     if matrix.shape[1] != c.feature_length:
         raise ValueError(f"expected rows of length {c.feature_length}, got {matrix.shape[1]}")
     floor = as_unit(floor, "floor")
-    narrow = _narrows_to_int16(matrix)
     # Each tree's walk is built as it is read, so a call holds one tree's
     # walk arrays at a time: built for the whole forest first, they raised
     # the `cell` benchmark's peak RSS from 52 to 57 MB.
-    return _scores(c, (_tree_walk(tree, narrow) for tree in c.payload.get("trees", ())), narrow, matrix, floor)
+    return _scores(c, (_tree_walk(tree) for tree in c.payload.get("trees", ())), matrix, floor)
 
 
-def _forest_walks(c: Classifier, narrow: bool) -> list[dict]:
+def _forest_walks(c: Classifier) -> list[dict]:
     """The walk arrays of every tree of c (none for a logistic model),
-    built once for many calls of _scores; narrow as in _tree_walk."""
-    return [_tree_walk(tree, narrow) for tree in c.payload.get("trees", ())]
+    built once for many calls of _scores with rows of any kind."""
+    return [_tree_walk(tree) for tree in c.payload.get("trees", ())]
 
 
-def _scores(c: Classifier, walks, narrow: bool, X: np.ndarray, floor: float) -> np.ndarray:
+def _scores(c: Classifier, walks, X: np.ndarray, floor: float) -> np.ndarray:
     """predict_scores of c at floor over the checked rows X, from the walks
-    of its trees (an iterable in tree order, built with narrow; a logistic
-    model reads none).
+    of its trees (an iterable in tree order; a logistic model reads none).
 
-    The walk reads X in place, C-contiguous and as int16 when narrow. A
-    forest's fewest votes whose score reaches floor, by the final score's
-    own division, is need; after each tree, a row short of need with the
-    trees left cannot reach floor and is walked no further.
+    This is the one place the rows' walk dtype is decided, from the rows
+    themselves: the walk reads X in place, C-contiguous, as int16 wherever
+    _narrows_to_int16 allows, so it compares 2-byte values with the walks'
+    floor thresholds; other rows keep their dtype, except int16 rows that
+    hold -2**15, which become int32. A forest's fewest votes whose score
+    reaches floor, by the final score's own division, is need; after each
+    tree, a row short of need with the trees left cannot reach floor and is
+    walked no further.
     """
     if c.kind == "logistic":
         # Summed one column at a time: the last bits of a matrix product's
@@ -774,7 +780,7 @@ def _scores(c: Classifier, walks, narrow: bool, X: np.ndarray, floor: float) -> 
         # score differently from one matrix.
         Xf = X.astype(np.float64)
         return _sigmoid(sum(Xf[:, j] * weight for j, weight in enumerate(c.payload["weights"])) + c.payload["bias"])
-    X = np.ascontiguousarray(X, dtype=np.int16 if narrow else None)
+    X = np.ascontiguousarray(X, dtype=np.int16 if _narrows_to_int16(X) else np.int32 if X.dtype == np.int16 else None)
     if c.kind == "tree":
         return _tree_leaf_values(next(iter(walks)), X, np.arange(len(X)))
     total = len(c.payload["trees"])
@@ -802,17 +808,6 @@ def predict_label(c: Classifier, x, threshold: float = DEFAULT_THRESHOLD) -> int
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned JSON, numbers kept at full round-trip precision
-
-
-def _payload_to_jsonable(c: Classifier) -> dict:
-    if c.kind in ("forest", "tree"):
-        return {
-            "trees": [
-                {key: tree[key].tolist() for key in _TREE_DTYPES}
-                for tree in c.payload["trees"]
-            ]
-        }
-    return {"weights": c.payload["weights"].tolist(), "bias": c.payload["bias"]}
 
 
 def _json_array(values, name: str, dtype) -> np.ndarray:
@@ -875,7 +870,15 @@ def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
 
 
 def save_model(c: Classifier, sink=None) -> bytes:
-    """Serialize to canonical JSON bytes; also writes them when a sink is given."""
+    """Serialize to canonical JSON bytes; also writes them when a sink is given.
+
+    json.dumps reads the payload's arrays itself, each through tolist as it
+    reaches it (default=), so no list copy of the whole model is held.
+    """
+    if c.kind == "logistic":
+        payload = {"weights": c.payload["weights"], "bias": c.payload["bias"]}
+    else:
+        payload = {"trees": [{key: tree[key] for key in _TREE_DTYPES} for tree in c.payload["trees"]]}
     doc = {
         "version": FORMAT_VERSION,
         "kind": c.kind,
@@ -883,9 +886,9 @@ def save_model(c: Classifier, sink=None) -> bytes:
         "feature_length": c.feature_length,
         "seed": c.seed,
         "featurize_config": c.featurize_config,
-        "payload": _payload_to_jsonable(c),
+        "payload": payload,
     }
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode("utf-8")
     if sink is not None:
         with open_stream(sink, "wb") as stream:
             stream.write(data)
@@ -914,7 +917,7 @@ def load_model(source) -> Classifier:
     else:
         with open_stream(source, "rb") as stream:
             data = stream.read()
-    if isinstance(data, bytes):
+    if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)

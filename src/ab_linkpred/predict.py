@@ -13,11 +13,11 @@ score are exactly those of full scoring (see model.predict_scores). The
 model's walk arrays are built once per run (model._forest_walks). A step
 never holds a row for every non-edge: it cuts them into row chunks over one
 block table of every root, and each chunk is gathered, scored by
-model._scores (as int16 when node IDs fit) and reduced to its pairs at or
-above epsilon. Large steps score their chunks on forked workers
-(model._fork_map), small ones here; either way the batch is the same (see
-_step). The trace records each pass's scored non-edges, added edges and
-seconds as its steps.
+model._scores (which picks the rows' walk dtype from the rows) and reduced
+to its pairs at or above epsilon. Large steps score their chunks on forked
+workers (model._fork_map), small ones here; either way the batch is the
+same (see _step). The trace records each pass's scored non-edges, added
+edges and seconds as its steps.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ _CHUNK_ROWS = 2**16
 _FORK_MIN_ROW_TREES = 1_000_000
 
 
-def _fits_int16(g: Graph) -> bool:
-    """Whether g's rows fit int16 (see model._narrows_to_int16): every value
-    of a row is a node ID in 0..n."""
-    return g.node_count < 2**15
-
-
 def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
           epsilon: float) -> tuple[list[tuple[int, int, float]], int]:
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
@@ -123,12 +117,12 @@ def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
     edge index; they are cut into contiguous, near-equal chunks of at most
     _CHUNK_ROWS rows, at least one per worker. Each chunk turns its ranks
     into pairs, gathers its rows from one block table of every root, scores
-    them at the epsilon floor with the model's walks (model._scores, as
-    int16 when node IDs fit, see _fits_int16) and keeps only the rows at or
-    above it. A score depends on its row alone, so the chunks, joined in
-    rank order, give the same batch however they are cut and wherever they
-    run: on _fork_map's workers when rows x trees reaches
-    _FORK_MIN_ROW_TREES and model._fork_workers allows it, else here.
+    them at the epsilon floor with the model's walks (model._scores) and
+    keeps only the rows at or above it. A score depends on its row alone,
+    so the chunks, joined in rank order, give the same batch however they
+    are cut and wherever they run: on _fork_map's workers when rows x trees
+    reaches _FORK_MIN_ROW_TREES and model._fork_workers allows it, else
+    here.
     """
     n = g.node_count
     edges = _edge_index(g)
@@ -141,7 +135,7 @@ def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
         u, v = _pair_nodes(_outside(edges, np.arange(rows * i // chunks, rows * (i + 1) // chunks)))
         X = _gathered_rows(blocks, feat, u, v)
         _finish_rows(X, orders, blocks, feat, u, v, np.zeros(len(u), bool))
-        scores = _scores(model, walks, _fits_int16(g), X, epsilon)
+        scores = _scores(model, walks, X, epsilon)
         keep = scores >= epsilon
         return u[keep], v[keep], scores[keep]
 
@@ -163,7 +157,7 @@ def complete(
     max_steps steps, so every batch is nonempty.
     """
     feat = _feature_config(model, feat)
-    walks = _forest_walks(model, _fits_int16(g))
+    walks = _forest_walks(model)
     work = g.copy()
     batches: list[list[tuple[int, int, float]]] = []
     steps: list[dict] = []

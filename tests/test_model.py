@@ -456,7 +456,7 @@ def test_predict_scores_holds_one_tree_walk_at_a_time():
     X = rng.integers(0, 300, size=(600, 6))
     y = (X[:, 0] + rng.integers(0, 150, 600) > 220).astype(np.int64)
     forest = train(X, y, params={"tree_count": 200}, seed=6)
-    whole = sum(arr.nbytes for walk in model_module._forest_walks(forest, True) for arr in walk.values())
+    whole = sum(arr.nbytes for walk in model_module._forest_walks(forest) for arr in walk.values())
     tracemalloc.start()
     try:
         scores = predict_scores(forest, X[:50])
@@ -650,6 +650,37 @@ def test_walk_matches_reference_on_small_ints_of_every_dtype_and_layout():
         _assert_scores_match_reference(forest, tree, form)
 
 
+@WALK_TIME_LIMIT
+def test_one_walk_list_serves_every_row_kind():
+    """_forest_walks builds one walk list per model, and _scores walks rows
+    of every kind with it: int16-range integers (narrowed), int16 rows
+    holding -32768 (widened), integers around +-40,000 and floats, each at
+    floors 0 and 0.9, as predict_scores and the reference walk score them."""
+    X, y = _pool_rows([(-40_000, -39_970), (-32_767, -32_737), (-15, 15), (32_737, 32_767), (39_970, 40_000)],
+                      500, seed=5)
+    forest, tree = _forest_and_tree(X, y)
+    thresholds = np.concatenate([t["threshold"][t["feature"] >= 0] for t in forest.payload["trees"]])
+    assert thresholds.min() < -2**15 and thresholds.max() > 2**15
+    narrow, _ = _pool_rows([(-32_767, -32_737), (-15, 15), (32_737, 32_767)], 200, seed=6)
+    wide, _ = _pool_rows([(-40_000, -39_970), (-15, 15), (39_970, 40_000)], 200, seed=7)
+    kinds = [narrow, np.vstack([narrow, np.full((1, 3), -2**15)]).astype(np.int16), wide, wide + 0.25, wide * 0.5]
+    assert [model_module._narrows_to_int16(rows) for rows in kinds] == [True, False, False, False, False]
+    for clf in (forest, tree):
+        walks = model_module._forest_walks(clf)
+        for rows in kinds:
+            if clf.kind == "forest":
+                votes = reference_forest_votes(clf, rows)
+                full = votes.sum(axis=0) / len(votes)
+            else:
+                full = reference_leaf_values(clf, rows)[0]
+            for floor in (0.0, 0.9):
+                got = model_module._scores(clf, walks, rows, floor)
+                assert got.tobytes() == predict_scores(clf, rows, floor=floor).tobytes()
+                kept = (full >= floor) | (clf.kind == "tree")  # a tree scores every row in full
+                assert got[kept].tobytes() == full[kept].tobytes()
+                assert (got[~kept] < floor).all()
+
+
 # sha256 of save_model() for models trained on a fixed fixture with fixed
 # seeds. A change to training, tie-breaking or serialization moves these;
 # such a change must say so, since saved models and sweep results then
@@ -841,6 +872,23 @@ def test_save_load_round_trip_scores(clique_split):
     assert np.array_equal(predict_scores(restored, probe), predict_scores(clf, probe))
 
 
+def test_save_model_holds_no_list_copy_of_the_forest():
+    """save_model hands the payload's arrays to the encoder as they are: its
+    traced peak stays below 3x the document's bytes, where copying every
+    tree into lists first took about 7x."""
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 1000, size=(10_000, 4))
+    forest = train(X, rng.integers(0, 2, 10_000), params={"tree_count": 20}, seed=8)
+    tracemalloc.start()
+    try:
+        data = save_model(forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data), f"save_model peaked at {peak} bytes for a {len(data)}-byte document"
+    assert save_model(load_model(data)) == data
+
+
 def test_save_load_round_trip_logistic():
     clf = train([[1.0], [9.0]] * 10, [0, 1] * 10, kind="logistic", params={"learning_rate": 0.3, "epochs": 57})
     restored = load_model(save_model(clf))
@@ -851,6 +899,9 @@ def test_save_load_round_trip_logistic():
 def test_load_rejects_corrupt_documents(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(b"this is not json")
+    for document in (b"\xff\xfe{", bytearray(b"\xff\xfe{")):  # not UTF-8
+        with pytest.raises(ModelFormatError):
+            load_model(document)
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(b"[" * 100_000 + b"]" * 100_000)  # nested deeper than the parser recurses
     with pytest.raises(ModelFormatError):

@@ -353,7 +353,7 @@ def test_a_chunked_step_holds_less_than_one_whole_step_matrix(monkeypatch, cpus)
     g = graph_from_edges(gnm_edges(300, 900, seed=7))
     cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=7)
     model = trained_on(g, cfg, seed=7)
-    walks = _forest_walks(model, True)
+    walks = _forest_walks(model)
     forked_chunks(monkeypatch, cpus, chunk_rows=2048)
     whole = (g.node_count * (g.node_count - 1) // 2 - g.edge_count) * cfg.row_length * 4  # int32 rows
     tracemalloc.start()

@@ -88,7 +88,7 @@ def test_load_model_reads_a_path_a_stream_or_a_document_alike(parts, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(data)
     binary, text = io.BytesIO(data), io.StringIO(data.decode())
-    for source in (path, str(path), binary, text, data, data.decode()):
+    for source in (path, str(path), binary, text, data, bytearray(data), data.decode()):
         assert save_model(load_model(source)) == data
     assert not binary.closed and not text.closed
 
@@ -117,6 +117,26 @@ def test_no_module_but_streams_calls_the_builtin_open():
                 and node.func.attr in ("read_bytes", "read_text", "write_bytes", "write_text")))
     ]
     assert callers == []
+
+
+def test_only_model_scores_decides_the_int16_walk():
+    """model._scores is the one place rows are narrowed to int16: no other
+    function calls _narrows_to_int16, and no src module but model.py names
+    int16."""
+    src = Path(ab_linkpred.__file__).parent
+    callers, namers = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:  # each call is named by the top-level definition it sits in
+            callers += [f"{path.name}:{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call)
+                        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "_narrows_to_int16"]
+        if path.name != "model.py":
+            namers += [f"{path.name}:{getattr(node, 'lineno', 0)}" for node in ast.walk(tree)
+                       if "int16" in (getattr(node, "id", None) or getattr(node, "attr", None) or "")
+                       or isinstance(node, ast.Constant) and isinstance(node.value, str) and "int16" in node.value]
+    assert callers == ["model.py:_scores"]
+    assert namers == []
 
 
 def test_no_module_builds_a_dense_n_by_n_array_of_pairs():
