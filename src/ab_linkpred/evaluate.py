@@ -317,7 +317,6 @@ def render_heatmap(result: SweepResult, metric: str = "f1", sink=None) -> str:
                     text_fill = "#ffffff" if val > 0.55 else "#1a1a1a"
                     label = f"{val:.2f}"
                 else:
-                    val = None
                     fill = "#dddddd"
                     text_fill = "#1a1a1a"
                     label = ""

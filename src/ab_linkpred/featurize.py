@@ -328,6 +328,25 @@ def _outside(index: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return ranks + np.searchsorted(index - np.arange(len(index)), ranks, side="right")
 
 
+def _non_edge_rows(g: Graph, config: FeatureConfig):
+    """The number of non-edges of g, and rows(lo, hi): the endpoint columns
+    u, v and the finished feature rows X of the non-edges of ranks lo ..
+    hi - 1, in pair index order. A non-edge's rank is its rank among the
+    pair indices outside the edge index, so no array of all pairs is held.
+    Every call gathers from one block table of every root, built here."""
+    n = g.node_count
+    edges = _edge_index(g)
+    orders, blocks = _block_table(g, config, range(1, n + 1), None)
+
+    def rows(lo: int, hi: int):
+        u, v = _pair_nodes(_outside(edges, np.arange(lo, hi)))
+        X = _gathered_rows(blocks, config, u, v)
+        _finish_rows(X, orders, blocks, config, u, v, np.zeros(len(u), bool))
+        return u, v, X
+
+    return _pair_index(n + 1, 1) - len(edges), rows
+
+
 def _balanced_row_indices(pos: np.ndarray, rows: int, negative_ratio: float, seed: int) -> np.ndarray:
     """Sorted indices, out of rows, of the positive rows pos (sorted) and a
     seeded sample of the others, drawn as ranks among the negative rows."""

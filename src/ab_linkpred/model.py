@@ -18,7 +18,7 @@ models serialize to plain JSON:
   bytes do not depend on its batch, and a large enough forest is grown in
   one-shot forked worker processes, one per usable CPU and each growing
   an equal share of the batches, with the same bytes as a serial run (see
-  _train_forest and _fork_map).
+  _train_forest and _workers._fork_map).
   Scoring walks each tree over the rows still unfinished: a state 2 * node
   per row, and leaves that loop to themselves so finished rows are looked
   for only every few levels. A tree's walk holds both its float thresholds
@@ -38,17 +38,14 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
-import signal
-import threading
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._seeds import as_int, as_real, as_unit, derive_seed
 from ._streams import open_stream
+from ._workers import _fork_map, _fork_workers
 from .featurize import config_from_dict
 
 FORMAT_VERSION = 1
@@ -123,7 +120,7 @@ def _merged_params(kind: str, params: dict | None) -> dict:
         if key not in merged:
             raise ValueError(f"unknown {kind} hyperparameter {key!r}")
         merged[key] = value
-    for key, low in (("tree_count", 1), ("min_leaf", 1), ("feature_subsample", None), ("max_depth", 0), ("epochs", 0)):
+    for key, low in (("tree_count", 1), ("min_leaf", 1), ("feature_subsample", 1), ("max_depth", 0), ("epochs", 0)):
         if key in merged and not (key in ("max_depth", "feature_subsample") and merged[key] is None):
             merged[key] = as_int(merged[key], key, low)
     if kind == "forest" and not isinstance(merged["bootstrap"], bool):
@@ -512,25 +509,9 @@ def _tree_leaf_values(walk: dict, X: np.ndarray, rows: np.ndarray) -> np.ndarray
 def _resolve_feature_count(total: int, requested) -> int:
     if requested is None:
         return round(math.sqrt(total))
-    if not 1 <= requested <= total:
+    if requested > total:
         raise ValueError(f"feature_subsample must be in 1..{total}, got {requested}")
     return requested
-
-
-def _fork_workers(row_trees: int, crossover: int, most: int) -> int:
-    """Worker processes for a job of row_trees rows x trees; 1 means run it
-    in this process.
-
-    More than one only when row_trees reaches crossover, the platform
-    reports usable CPUs (all such can fork), and only the main thread runs
-    (forking a multi-threaded process is unsafe, and _fork_map sets a SIGINT
-    handler); then one per usable CPU, at most `most`.
-    """
-    if row_trees < crossover or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() != 1 or threading.get_ident() != threading.main_thread().ident:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), most))
 
 
 # Worker processes grow a forest only from this many rows x trees on.
@@ -540,70 +521,6 @@ def _fork_workers(row_trees: int, crossover: int, most: int) -> int:
 # 0.91-1.31, starting the workers and collecting the trees costing about
 # as much as the trees. Rows x columns x trees predicted this worse.
 _POOL_MIN_ROW_TREES = 20_000
-
-
-def _forest_workers(X: np.ndarray, tree_count: int) -> int:
-    """Worker processes to grow a forest in (see _fork_workers): from
-    _POOL_MIN_ROW_TREES rows x trees on, at most one per tree."""
-    return _fork_workers(X.shape[0] * tree_count, _POOL_MIN_ROW_TREES, tree_count)
-
-
-def _fork_map(fn, count: int, workers: int) -> list:
-    """[fn(i) for i in range(count)], computed in `workers` forked processes.
-
-    Worker w computes the indices i = w (mod workers) on inputs inherited
-    through fork, sends its list once over a pipe and exits, so the result
-    does not depend on the worker count; this process only collects the
-    lists. An index is a batch of a forest's trees, or a row chunk of a
-    completion step (predict._step). A worker checks that its
-    parent still runs before each index, and returns without sending once
-    it is gone. workers == 1 computes them here, without a fork. A worker
-    that dies raises ChildProcessError. Whatever ends the call (an error, a
-    failed fork, Ctrl-C), the processes it started are stopped.
-    """
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-
-    def work(indices: range, writer) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which stops the workers
-        share = []
-        for i in indices:
-            if os.getppid() != multiprocessing.parent_process().pid:
-                return  # the parent is gone, and nobody wants the share
-            share.append(fn(i))
-        with suppress(BrokenPipeError):
-            writer.send(share)
-
-    out = [None] * count
-    started = []  # (process, reader) per worker
-    # A Ctrl-C while the workers are forked waits until each is recorded in
-    # started: one raised inside Process.start could lose a forked worker.
-    held = []
-    previous = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
-    try:
-        for w in range(workers):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            args = (range(w, count, workers), writer)
-            process = multiprocessing.get_context("fork").Process(target=work, args=args, daemon=True)
-            process.start()
-            started.append((process, reader))
-            writer.close()
-        signal.signal(signal.SIGINT, previous)
-        if held:
-            signal.raise_signal(signal.SIGINT)
-        for w, (process, reader) in enumerate(started):
-            try:
-                out[w::workers] = reader.recv()
-            except EOFError:
-                process.join()
-                raise ChildProcessError(f"a worker process died with exit code {process.exitcode}") from None
-    finally:
-        signal.signal(signal.SIGINT, previous)
-        for process, reader in started:
-            process.terminate()
-            process.join()
-            reader.close()
-    return out
 
 
 # A batch of trees grows in one level loop while its trees' bootstrap rows x
@@ -617,19 +534,20 @@ _BATCH_ENTRIES = 2**18
 
 
 def _train_forest(X: np.ndarray, y: np.ndarray, params: dict, seed: int) -> dict:
-    """Grow the trees in batches, in worker processes when _forest_workers
-    allows it.
+    """Grow the trees in batches, in worker processes (_fork_map) from
+    _POOL_MIN_ROW_TREES rows x trees on.
 
     Batch i holds the trees i, i + batches, i + 2 * batches, ..., at most
     _BATCH_ENTRIES // (rows x candidate columns) of them, and the batch
     count is rounded up to a multiple of the worker count (but no more than
-    one batch per tree), so each worker grows an equal share. Tree t depends only on the inputs and derive_seed(seed, "tree",
-    t), so its bytes do not depend on its batch or on which process grows it.
+    one batch per tree), so each worker grows an equal share. Tree t
+    depends only on the inputs and derive_seed(seed, "tree", t), so its
+    bytes do not depend on its batch or on which process grows it.
     """
     n_features = _resolve_feature_count(X.shape[1], params["feature_subsample"])
     table = _dense_ranks(X)
     tree_count = params["tree_count"]
-    workers = _forest_workers(X, tree_count)
+    workers = _fork_workers(X.shape[0] * tree_count, _POOL_MIN_ROW_TREES)
     batches = -(-tree_count // max(1, _BATCH_ENTRIES // (X.shape[0] * n_features)))
     batches = min(tree_count, -(-batches // workers) * workers)
 
@@ -697,8 +615,9 @@ def train(X, y, kind: str = "forest", params: dict | None = None, seed: int = 42
     a Python int or float); else ValueError. A logistic fit that
     diverges to weights or a bias that are not finite raises ValueError
     too, so every returned model saves and loads. Large forests are grown
-    in worker processes (see _forest_workers); a worker that dies raises
-    ChildProcessError and a failed fork its OSError.
+    in worker processes (see _train_forest): an error a worker raises is
+    raised here, a worker that dies raises ChildProcessError and a failed
+    fork its OSError.
     """
     matrix = _as_matrix(X)
     labels = _as_labels(y, matrix.shape[0])

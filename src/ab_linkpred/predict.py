@@ -11,13 +11,14 @@ a pair as soon as its score can no longer reach epsilon, so a step walks
 far fewer trees than full scoring, while every added edge and its recorded
 score are exactly those of full scoring (see model.predict_scores). The
 model's walk arrays are built once per run (model._forest_walks). A step
-never holds a row for every non-edge: it cuts them into row chunks over one
-block table of every root, and each chunk is gathered, scored by
-model._scores (which picks the rows' walk dtype from the rows) and reduced
-to its pairs at or above epsilon. Large steps score their chunks on forked
-workers (model._fork_map), small ones here; either way the batch is the
-same (see _step). The trace records each pass's scored non-edges, added
-edges and seconds as its steps.
+never holds a row for every non-edge: it cuts them into row chunks, and
+each chunk's rows are built by featurize (featurize._non_edge_rows, from
+one block table of every root per step), scored by model._scores (which
+picks the rows' walk dtype from the rows) and reduced to its pairs at or
+above epsilon. Large steps score their chunks on forked workers
+(_workers._fork_map), small ones here; either way the batch is the same
+(see _step). The trace records each pass's scored non-edges, added edges
+and seconds as its steps.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import as_int, as_unit
-from .featurize import (FeatureConfig, _block_table, _edge_index, _finish_rows, _gathered_rows, _outside,
-                        _pair_index, _pair_nodes, config_from_dict)
+from ._workers import _fork_map, _fork_workers
+from .featurize import FeatureConfig, _non_edge_rows, config_from_dict
 from .graph import Graph
-from .model import Classifier, _fork_map, _fork_workers, _forest_walks, _scores
+from .model import Classifier, _forest_walks, _scores
 
 MODES = ("iterative", "noniterative")
 
@@ -113,28 +114,21 @@ def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
     """Every non-edge of g scoring at least epsilon, as (u, v, score) in
     candidate-pair order, and the number of non-edges scored.
 
-    The non-edges are ranks 0 .. rows - 1 among the pair indices outside the
-    edge index; they are cut into contiguous, near-equal chunks of at most
-    _CHUNK_ROWS rows, at least one per worker. Each chunk turns its ranks
-    into pairs, gathers its rows from one block table of every root, scores
-    them at the epsilon floor with the model's walks (model._scores) and
-    keeps only the rows at or above it. A score depends on its row alone,
-    so the chunks, joined in rank order, give the same batch however they
-    are cut and wherever they run: on _fork_map's workers when rows x trees
-    reaches _FORK_MIN_ROW_TREES and model._fork_workers allows it, else
-    here.
+    The non-edges, ranks 0 .. rows - 1 of featurize._non_edge_rows, are cut
+    into contiguous, near-equal chunks of at most _CHUNK_ROWS rows, at least
+    one per worker but none empty. Each chunk's rows are scored at the
+    epsilon floor with the model's walks (model._scores), and only the rows
+    at or above it are kept. A score depends on its row alone, so the
+    chunks, joined in rank order, give the same batch however they are cut
+    and wherever they run: on _fork_map's workers when rows x trees reaches
+    _FORK_MIN_ROW_TREES and _fork_workers allows it, else here.
     """
-    n = g.node_count
-    edges = _edge_index(g)
-    rows = _pair_index(n + 1, 1) - len(edges)
-    orders, blocks = _block_table(g, feat, range(1, n + 1), None)
-    workers = _fork_workers(rows * len(walks), _FORK_MIN_ROW_TREES, rows)
-    chunks = max(workers, -(-rows // _CHUNK_ROWS))
+    rows, non_edge_rows = _non_edge_rows(g, feat)
+    workers = _fork_workers(rows * len(walks), _FORK_MIN_ROW_TREES)
+    chunks = min(max(workers, -(-rows // _CHUNK_ROWS)), max(rows, 1))
 
     def scored(i: int):
-        u, v = _pair_nodes(_outside(edges, np.arange(rows * i // chunks, rows * (i + 1) // chunks)))
-        X = _gathered_rows(blocks, feat, u, v)
-        _finish_rows(X, orders, blocks, feat, u, v, np.zeros(len(u), bool))
+        u, v, X = non_edge_rows(rows * i // chunks, rows * (i + 1) // chunks)
         scores = _scores(model, walks, X, epsilon)
         keep = scores >= epsilon
         return u[keep], v[keep], scores[keep]

@@ -93,47 +93,77 @@ _GROW_TREES = model._grow_trees
 _SCORES = predict._scores
 
 
-def _die_in_worker(*args):
-    """model._grow_trees, except that a forest worker process exits at once."""
-    if os.getpid() != _TEST_PID:
-        os._exit(1)
-    return _GROW_TREES(*args)
+def _in_workers(real, fault):
+    """real, except that in a worker process it meets fault() at once."""
+    def patched(*args):
+        if os.getpid() != _TEST_PID:
+            fault()
+        return real(*args)
+    return patched
+
+
+def _die():
+    os._exit(1)
+
+
+WORKER_ERROR = "Unable to allocate 9.00 EiB for an array in a worker"
+
+
+def _raise():
+    raise MemoryError(WORKER_ERROR)
+
+
+def _forest_workers_that(monkeypatch, fault):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(model, "_grow_trees", _in_workers(_GROW_TREES, fault))
+
+
+def _completion_workers_that(monkeypatch, fault):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(predict, "_FORK_MIN_ROW_TREES", 0)
+    monkeypatch.setattr(predict, "_scores", _in_workers(_SCORES, fault))
 
 
 @pytest.fixture()
 def dying_forest_workers(monkeypatch):
     """Two usable CPUs, and forest worker processes that die on their first batch of trees."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(model, "_grow_trees", _die_in_worker)
+    _forest_workers_that(monkeypatch, _die)
 
 
-def _die_in_completion_worker(*args):
-    """model._scores, except that a completion worker process exits at once."""
-    if os.getpid() != _TEST_PID:
-        os._exit(1)
-    return _SCORES(*args)
+@pytest.fixture()
+def raising_forest_workers(monkeypatch):
+    """Two usable CPUs, and forest worker processes whose first batch of
+    trees raises MemoryError; its message is the fixture's value."""
+    _forest_workers_that(monkeypatch, _raise)
+    return WORKER_ERROR
 
 
 @pytest.fixture()
 def dying_completion_workers(monkeypatch):
     """Two usable CPUs, completion steps scored on forked workers whatever
     their size, and completion workers that die on their first chunk."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(predict, "_FORK_MIN_ROW_TREES", 0)
-    monkeypatch.setattr(predict, "_scores", _die_in_completion_worker)
+    _completion_workers_that(monkeypatch, _die)
+
+
+@pytest.fixture()
+def raising_completion_workers(monkeypatch):
+    """Two usable CPUs, completion steps scored on forked workers whatever
+    their size, and completion workers whose first chunk raises
+    MemoryError; its message is the fixture's value."""
+    _completion_workers_that(monkeypatch, _raise)
+    return WORKER_ERROR
 
 
 @pytest.fixture()
 def pools(monkeypatch):
     """The worker counts above 1 that forests were grown with while it is in use."""
     started = []
-    forest_workers = model._forest_workers
+    fork_map = model._fork_map
 
-    def recording(X, tree_count):
-        workers = forest_workers(X, tree_count)
-        if workers > 1:
-            started.append(workers)
-        return workers
+    def recording(fn, count, workers):
+        if min(workers, count) > 1:
+            started.append(min(workers, count))
+        return fork_map(fn, count, workers)
 
-    monkeypatch.setattr(model, "_forest_workers", recording)
+    monkeypatch.setattr(model, "_fork_map", recording)
     return started

@@ -368,6 +368,15 @@ def test_sweep_names_the_error_type_of_a_failed_cell(gnm_file, tmp_path, capsys,
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_stats_reports_skipped_self_loop_lines(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("1 1\n1 2\n2 3\n3 3\n")
+    assert main(["stats", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["skipped 2 self-loop line(s)"]
+    assert out.splitlines() == ["nodes=3 edges=2 avg_degree=1.33"]
+
+
 def test_eval_csv_row_is_the_sweep_csv_row_of_the_same_cell(clique_file, tmp_path, capsys, monkeypatch):
     """eval --csv writes its row with export_csv, the writer of sweep's CSV."""
     written = []
@@ -493,6 +502,16 @@ def test_train_exits_2_when_a_forest_worker_dies(gnm_file, tmp_path, capsys, dyi
     assert not os.path.exists(str(model) + ".manifest.json")
 
 
+def test_train_reports_an_error_raised_in_a_forest_worker_in_one_line(gnm_file, tmp_path, capfd,
+                                                                      raising_forest_workers):
+    model = tmp_path / "m.json"
+    assert main(["train", str(gnm_file), "--a", "2", "--b", "1", "--out", str(model)]) == 2
+    # capfd, not capsys: a worker's traceback would reach the shared stderr file.
+    assert capfd.readouterr().err.splitlines() == [f"error: {raising_forest_workers}"]
+    assert not model.exists()
+    assert not os.path.exists(str(model) + ".manifest.json")
+
+
 _ANNOUNCED_TRAIN_SCRIPT = """
 import os
 import signal
@@ -548,6 +567,27 @@ def test_complete_exits_2_when_a_completion_worker_dies(gnm_file, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("error: a worker process died with exit code ")
     assert not added.exists()
     assert not os.path.exists(str(added) + ".manifest.json")
+
+
+def test_complete_reports_an_error_raised_in_a_completion_worker_in_one_line(gnm_file, tmp_path, capfd,
+                                                                             raising_completion_workers):
+    model = tmp_path / "m.json"
+    assert main(["train", str(gnm_file), "--a", "2", "--b", "1", "--out", str(model)]) == 0
+    capfd.readouterr()
+    added = tmp_path / "added.txt"
+    assert main(["complete", str(gnm_file), "--model", str(model), "--epsilon", "0.5", "--out", str(added)]) == 2
+    assert capfd.readouterr().err.splitlines() == [f"error: {raising_completion_workers}"]
+    assert not added.exists()
+    assert not os.path.exists(str(added) + ".manifest.json")
+
+
+def test_sweep_names_the_error_raised_in_a_forest_worker(gnm_file, tmp_path, capfd, raising_forest_workers):
+    out = tmp_path / "r.csv"
+    assert main(["sweep", str(gnm_file), "--a-max", "1", "--b-max", "0", "--strategy", "degree",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    err = capfd.readouterr().err.splitlines()
+    assert err[0] == f"cell a=1 b=0 degree seed=1 failed: MemoryError: {raising_forest_workers}"
+    assert len(err) == 2 and "(1 failed)" in err[1]
 
 
 def test_train_eval_complete_round_trip(clique_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import sys
@@ -327,6 +328,20 @@ def test_sweep_records_a_dead_forest_worker(dying_forest_workers):
     assert result.cells[0].error.startswith("ChildProcessError: a worker process died with exit code ")
 
 
+def test_sweep_records_the_error_raised_in_a_forest_worker(raising_forest_workers):
+    g = graph_from_edges(gnm_edges(61, 270, seed=4))
+    result = sweep(g, 1, 0, ["degree"], [1])
+    assert result.cells[0].report is None
+    assert result.cells[0].error == f"MemoryError: {raising_forest_workers}"
+
+
+def test_sweep_refuses_a_feature_subsample_below_1_at_the_call():
+    g = graph_from_edges(gnm_edges(20, 45, seed=2))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^feature_subsample must be >= 1, got {bad}$"):
+            sweep(g, 1, 0, ["degree"], [1], classifier_params={"feature_subsample": bad})
+
+
 def test_export_csv_layout_and_re_derivation(small_sweep, tmp_path):
     out = tmp_path / "r.csv"
     export_csv(small_sweep, out)
@@ -359,6 +374,16 @@ def test_render_heatmap_one_rect_per_cell(two_k6, tmp_path):
         render_heatmap(SweepResult(cells=[]), "f1")
     with pytest.raises(ValueError):
         render_heatmap(result, "accuracy")
+
+
+def test_render_heatmap_greys_a_cell_whose_runs_all_failed(small_sweep):
+    first = small_sweep.cells[0]
+    cells = [dataclasses.replace(c, report=None, error="ValueError: x")
+             if (c.strategy, c.a, c.b) == (first.strategy, first.a, first.b) else c for c in small_sweep.cells]
+    svg = render_heatmap(SweepResult(cells=cells), "f1")
+    assert svg.count("<rect") == 8
+    assert svg.count('fill="#dddddd"') == 1
+    assert svg.count('text-anchor="middle" fill=') == 7  # no value label on the grey cell
 
 
 def test_render_heatmap_panels_per_strategy(small_sweep):

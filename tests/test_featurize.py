@@ -454,6 +454,13 @@ def test_split_errors():
         split(d2, 1.0, seed=1)
 
 
+def test_split_refuses_an_empty_dataset():
+    empty = build_dataset(complete_graph(3), degree_cfg(1, 0), pairs=[])
+    assert empty.X.shape == (0, 4)
+    with pytest.raises(ValueError, match="^cannot split an empty dataset$"):
+        split(empty, 0.5, seed=1)
+
+
 def test_export_csv_shape_and_labels(tmp_path):
     g = load_edge_list(io.StringIO("10 20\n20 30\n"))
     cfg = degree_cfg(2, 1)

@@ -777,6 +777,25 @@ def test_zero_columns_and_one_row_per_class_train_as_before():
         "97f20d507f6bc17752afe9bc6952d32e9facf0d8b77c54036957a2a524456230")
 
 
+def test_train_refuses_empty_one_dimensional_and_oversubsampled_rows():
+    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+        train(np.zeros((0, 3)), [])
+    with pytest.raises(ValueError, match="^feature rows must form a 2-D matrix of equal-length rows$"):
+        train([1, 2, 3, 4], [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=r"^feature_subsample must be in 1\.\.2, got 3$"):
+        train([[1, 4], [2, 3]] * 2, [0, 1, 0, 1], params={"feature_subsample": 3})
+
+
+@pytest.mark.parametrize("bad", [0, -2])
+def test_a_feature_subsample_below_1_is_refused_by_train_and_load_model(small_forest_doc, bad):
+    with pytest.raises(ValueError, match=f"^feature_subsample must be >= 1, got {bad}$"):
+        train([[1, 4], [2, 3]] * 2, [0, 1, 0, 1], params={"feature_subsample": bad})
+    doc = json.loads(small_forest_doc)
+    doc["hyperparameters"]["feature_subsample"] = bad
+    with pytest.raises(ModelFormatError, match=f"feature_subsample must be >= 1, got {bad}$"):
+        load_model(json.dumps(doc))
+
+
 @pytest.mark.parametrize("seed", [1.5, "7", True])
 def test_train_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
@@ -1184,10 +1203,12 @@ def test_a_small_forest_grows_in_this_process(monkeypatch, pools):
     _cpus(monkeypatch, 2)
     _trained_bytes("forest", {"tree_count": 4})
     assert pools == []
-    rows = model_module._POOL_MIN_ROW_TREES // 40
-    assert model_module._forest_workers(np.zeros((rows - 1, 3)), 40) == 1
-    assert model_module._forest_workers(np.zeros((rows, 3)), 40) == 2
-    assert model_module._forest_workers(np.zeros((rows, 3)), 1) == 1
+    crossover = model_module._POOL_MIN_ROW_TREES
+    assert model_module._fork_workers(crossover - 1, crossover) == 1
+    assert model_module._fork_workers(crossover, crossover) == 2
+    monkeypatch.setattr(model_module, "_POOL_MIN_ROW_TREES", 0)
+    _trained_bytes("forest", {"tree_count": 1})  # one tree, one batch: nothing to fork
+    assert pools == []
 
 
 def test_a_thread_unknown_to_threading_grows_its_forest_in_this_process(monkeypatch, pools, fixture_forests_fork):
@@ -1216,6 +1237,26 @@ def test_a_dead_worker_raises_and_leaves_no_process(dying_forest_workers, pools,
         _trained_bytes("forest", None)
     assert pools == [2]
     assert multiprocessing.active_children() == []  # conftest's no_worker_left stops any left
+
+
+def test_an_error_raised_in_a_worker_is_raised_here_and_leaves_no_process(raising_forest_workers, pools,
+                                                                            fixture_forests_fork):
+    with pytest.raises(MemoryError, match=f"^{raising_forest_workers}$"):
+        _trained_bytes("forest", None)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []  # conftest's no_worker_left stops any left
+
+
+def test_a_forest_never_forks_more_workers_than_batches(monkeypatch, pools):
+    params = {"tree_count": 2}
+    serial = _trained_bytes("forest", params)
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(model_module, "_POOL_MIN_ROW_TREES", 0)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    assert _trained_bytes("forest", params) == serial
+    assert pools == [2] and len(forks) == 2
 
 
 def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, pools, fixture_forests_fork):

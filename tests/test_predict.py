@@ -257,8 +257,8 @@ def completion_forks(monkeypatch):
     fork_map = predict._fork_map
 
     def recording(fn, count, workers):
-        if workers > 1:
-            started.append(workers)
+        if min(workers, count) > 1:
+            started.append(min(workers, count))
         return fork_map(fn, count, workers)
 
     monkeypatch.setattr(predict, "_fork_map", recording)
@@ -330,6 +330,32 @@ def test_a_dead_completion_worker_raises_and_leaves_no_process(dying_completion_
     with pytest.raises(ChildProcessError, match="worker process died"):
         complete(g, model, CompletionConfig(0.5, "iterative"), cfg)
     assert multiprocessing.active_children() == []
+
+
+def test_an_error_raised_in_a_completion_worker_is_raised_here_and_leaves_no_process(raising_completion_workers):
+    g = graph_from_edges(gnm_edges(30, 60, seed=12))
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=12)
+    model = trained_on(g, cfg, seed=12)
+    with pytest.raises(MemoryError, match=f"^{raising_completion_workers}$"):
+        complete(g, model, CompletionConfig(0.5, "iterative"), cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_step_never_forks_more_workers_than_chunks(monkeypatch):
+    cfg = FeatureConfig(a=2, b=1, strategy=Strategy("degree"), seed=12)
+    model = trained_on(graph_from_edges(gnm_edges(30, 60, seed=12)), cfg, seed=12)
+    cycle = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])  # two non-edges, so two chunks
+    run = CompletionConfig(0.0, "noniterative")
+    serial = complete(cycle, model, run, cfg)
+    forked_chunks(monkeypatch, 3)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forked = complete(cycle, model, run, cfg)
+    assert [[(u, v) for u, v, _ in batch] for batch in serial.batches] == [[(3, 1), (4, 2)]]  # epsilon 0 adds all
+    assert forked.batches == serial.batches
+    assert step_counts(forked) == step_counts(serial) == [(2, 2)]
+    assert len(forks) == 2
 
 
 def test_a_completion_on_a_second_thread_stays_in_this_process(monkeypatch, completion_forks):

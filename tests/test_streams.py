@@ -151,3 +151,28 @@ def test_no_module_builds_a_dense_n_by_n_array_of_pairs():
         and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("tril_indices", "adjacency")
     ]
     assert callers == []
+
+
+def test_only_workers_forks_and_predict_reads_non_edge_rows_from_featurize():
+    """_workers.py is the one src module that imports multiprocessing,
+    signal or threading or asks for the usable CPUs, and predict.py takes
+    its rows from featurize through _non_edge_rows, no other private name."""
+    src = Path(ab_linkpred.__file__).parent
+    process_modules = {"multiprocessing", "signal", "threading"}
+    forkers, private = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+                if path.name == "predict.py" and node.module in ("featurize", None):
+                    private += [alias.name for alias in node.names
+                                if alias.name.startswith("_") or alias.name == "featurize"]
+            else:
+                modules = []
+            if {module.split(".")[0] for module in modules} & process_modules or "sched_getaffinity" in (
+                    getattr(node, "attr", None), getattr(node, "id", None)):
+                forkers.append(path.name)
+    assert sorted(set(forkers)) == ["_workers.py"]
+    assert private == ["_non_edge_rows"]
