@@ -32,6 +32,11 @@ models serialize to plain JSON:
   positive fraction at the leaf.
 * logistic: full-batch gradient descent on the log loss; the score is the
   sigmoid of the linear response.
+
+A model saves as one canonical JSON document (sorted keys, compact
+separators), written one tree at a time so the whole text is never held on
+the way to a file (see _document_chunks), and loads with each tree's lists
+turned into arrays as soon as the tree is parsed (see _parse_document).
 """
 
 from __future__ import annotations
@@ -730,11 +735,45 @@ def predict_label(c: Classifier, x, threshold: float = DEFAULT_THRESHOLD) -> int
 
 
 def _json_array(values, name: str, dtype) -> np.ndarray:
-    """values as a dtype array, if a JSON array of integers (numbers for a float dtype; a bool is neither)."""
+    """values as a dtype array, if a JSON array of integers (numbers for a float dtype; a bool is neither)
+    or already such an array (see _parse_document)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        return values
     integers = np.issubdtype(dtype, np.integer)
     if not isinstance(values, list) or not set(map(type, values)) <= ({int} if integers else {int, float}):
         raise TypeError(f"{name} must be an array of JSON {'integers' if integers else 'numbers'}")
     return np.array(values, dtype=dtype)
+
+
+def _parse_document(text: str):
+    """json.loads(text), with each tree's node lists made arrays as soon as
+    the tree is parsed, so no list copy of more than one tree is held.
+
+    Every object whose keys are exactly the node arrays' names is converted
+    by _json_array while the JSON is parsed; one it refuses is left as
+    parsed, for _payload_from_jsonable to refuse with its message. Only the
+    objects in the payload's "trees" list are trees: should a converted
+    object sit anywhere else, the text is parsed again as plain JSON, so
+    every field reads as written and every error names it so.
+    """
+    converted = []
+
+    def tree_arrays(obj: dict):
+        if obj.keys() == _TREE_DTYPES.keys():
+            try:
+                obj = {key: _json_array(value, key, _TREE_DTYPES[key]) for key, value in obj.items()}
+            except (TypeError, OverflowError):  # OverflowError: an integer past int32 or float64
+                return obj
+            converted.append(obj)
+        return obj
+
+    doc = json.loads(text, object_hook=tree_arrays)
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    trees = payload.get("trees") if isinstance(payload, dict) else None
+    placed = {id(tree) for tree in trees} if isinstance(trees, list) else set()
+    if any(id(tree) not in placed for tree in converted):
+        return json.loads(text)
+    return doc
 
 
 def _payload_from_jsonable(kind: str, doc: dict) -> dict:
@@ -788,16 +827,18 @@ def _check_payload(kind: str, payload: dict, feature_length: int) -> None:
             bad(f"tree {t}: leaf values must lie in [0, 1]")
 
 
-def save_model(c: Classifier, sink=None) -> bytes:
-    """Serialize to canonical JSON bytes; also writes them when a sink is given.
+def _document_chunks(c: Classifier):
+    """The model document as text chunks whose concatenation is one
+    json.dumps of it (sort_keys, compact separators): a logistic model is
+    one chunk; a forest or tree is the text up to its trees' list, then each
+    tree, then the rest. A compact, key-sorted dumps of an object is its
+    members' dumps joined by commas, so a tree dumped alone gives the same
+    bytes as inside the whole document, and only one tree's text is built at
+    a time. json.dumps reads each array through tolist as it reaches it
+    (default=), so no list copy of more than one array is held."""
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
-    json.dumps reads the payload's arrays itself, each through tolist as it
-    reaches it (default=), so no list copy of the whole model is held.
-    """
-    if c.kind == "logistic":
-        payload = {"weights": c.payload["weights"], "bias": c.payload["bias"]}
-    else:
-        payload = {"trees": [{key: tree[key] for key in _TREE_DTYPES} for tree in c.payload["trees"]]}
     doc = {
         "version": FORMAT_VERSION,
         "kind": c.kind,
@@ -805,13 +846,33 @@ def save_model(c: Classifier, sink=None) -> bytes:
         "feature_length": c.feature_length,
         "seed": c.seed,
         "featurize_config": c.featurize_config,
-        "payload": payload,
+        "payload": {"trees": []},
     }
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode("utf-8")
-    if sink is not None:
-        with open_stream(sink, "wb") as stream:
-            stream.write(data)
-    return data
+    if c.kind == "logistic":
+        yield dumps({**doc, "payload": {"weights": c.payload["weights"], "bias": c.payload["bias"]}})
+        return
+    # The trees' list is the document's last "[]": only the seed and the
+    # version, two numbers, follow the payload in key order.
+    head, _, tail = dumps(doc).rpartition("[]")
+    yield head + "["
+    for t, tree in enumerate(c.payload["trees"]):
+        yield ("," if t else "") + dumps({key: tree[key] for key in _TREE_DTYPES})
+    yield "]" + tail
+
+
+def save_model(c: Classifier, sink=None) -> bytes | None:
+    """The model as canonical JSON bytes; with a sink (a path or a binary
+    stream), writes them there instead, chunk by chunk (see
+    _document_chunks), and returns None, so the whole document is never
+    held. A path is written to a new file that replaces it only once every
+    chunk is written (see open_stream)."""
+    chunks = _document_chunks(c)
+    if sink is None:
+        return "".join(chunks).encode("utf-8")
+    with open_stream(sink, "wb") as stream:
+        for chunk in chunks:
+            stream.write(chunk.encode("utf-8"))
+    return None
 
 
 def load_model(source) -> Classifier:
@@ -829,6 +890,10 @@ def load_model(source) -> Classifier:
     column outside the feature length, a leaf value outside [0, 1],
     logistic weights of the wrong length, or a threshold, logistic weight
     or bias that is not a finite number.
+
+    Each tree becomes arrays as soon as it is parsed (see _parse_document),
+    and bytes read from a path or stream are dropped once decoded, so the
+    parse holds the text, the arrays and one tree's lists at most.
     """
     if isinstance(source, (bytes, bytearray)) or (
             isinstance(source, str) and source.lstrip().startswith("{") and not os.path.isfile(source)):
@@ -837,9 +902,9 @@ def load_model(source) -> Classifier:
         with open_stream(source, "rb") as stream:
             data = stream.read()
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8", errors="replace")
+        data = data.decode("utf-8", errors="replace")  # bytes read here are dropped as soon as decoded
     try:
-        doc = json.loads(data)
+        doc = _parse_document(data)
     except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
         raise ModelFormatError(f"model document is not valid JSON: {err}") from None
     if not isinstance(doc, dict):

@@ -281,6 +281,23 @@ def test_complete_reads_a_model_path_that_starts_with_a_brace(clique_file, tmp_p
     assert (tmp_path / "added.txt.manifest.json").exists()
 
 
+def test_complete_reads_a_model_piped_to_it_and_refuses_a_model_path_it_cannot_read(clique_file, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train", str(clique_file), "--a", "1", "--b", "0", "--out", str(model)]) == 0
+    assert main(["complete", str(clique_file), "--model", str(model), "--epsilon", "0.5",
+                 "--out", str(tmp_path / "from_path.txt")]) == 0
+    run = run_module("complete", clique_file, "--model", "/dev/stdin", "--epsilon", "0.5",
+                     "--out", tmp_path / "from_pipe.txt", input=model.read_text())
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "from_pipe.txt").read_bytes() == (tmp_path / "from_path.txt").read_bytes()
+    capsys.readouterr()
+    for unreadable, reason in ((tmp_path, "Is a directory"), (tmp_path / "missing.json", "No such file")):
+        assert main(["complete", str(clique_file), "--model", str(unreadable), "--epsilon", "0.5",
+                     "--out", str(tmp_path / "added.txt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+
+
 # Runs the CLI on sys.argv[1:] and prints its exit code and how many times
 # it opened the file named by sys.argv[2], the graph, as counted by an audit hook.
 COUNT_GRAPH_OPENS = """

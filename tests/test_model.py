@@ -2,6 +2,7 @@ import _thread
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -906,6 +907,157 @@ def test_save_model_holds_no_list_copy_of_the_forest():
         tracemalloc.stop()
     assert peak < 3 * len(data), f"save_model peaked at {peak} bytes for a {len(data)}-byte document"
     assert save_model(load_model(data)) == data
+
+
+@pytest.fixture(scope="module")
+def twenty_tree_forest():
+    """The forest of test_save_model_holds_no_list_copy_of_the_forest and its 2.26 MB document."""
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 1000, size=(10_000, 4))
+    forest = train(X, rng.integers(0, 2, 10_000), params={"tree_count": 20}, seed=8)
+    return forest, save_model(forest)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_model_makes_each_tree_arrays_as_it_is_parsed(twenty_tree_forest):
+    """load_model turns a tree's lists into arrays as soon as the tree is
+    parsed: its traced peak stays below 3.5x the document's bytes, where
+    parsing every tree into lists first took about 6.9x."""
+    forest, data = twenty_tree_forest
+    peak = _traced_peak(lambda: load_model(data))
+    assert peak < 3.5 * len(data), f"load_model peaked at {peak} bytes for a {len(data)}-byte document"
+
+
+class _ByteCounter:
+    """A binary sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, data: bytes) -> None:
+        self.count += len(data)
+
+
+def test_save_model_writes_a_sink_tree_by_tree(twenty_tree_forest):
+    """save_model writes a sink one tree at a time and never holds the whole
+    document: its traced peak stays below 1.2x the document's bytes, where
+    encoding it whole first took about 2.6x. It returns None."""
+    forest, data = twenty_tree_forest
+    sink, returned = _ByteCounter(), []
+    peak = _traced_peak(lambda: returned.append(save_model(forest, sink)))
+    assert returned == [None] and sink.count == len(data)
+    assert peak < 1.2 * len(data), f"save_model peaked at {peak} bytes for a {len(data)}-byte document"
+
+
+@pytest.mark.parametrize("kind,params", [("forest", {"tree_count": 4}), ("tree", None), ("logistic", {"epochs": 50})])
+def test_save_model_gives_one_json_dumps_of_the_document_to_a_path_a_stream_or_the_caller(tmp_path, kind, params):
+    X, y = _golden_fixture_rows()
+    clf = train(X, y, kind=kind, params=params, seed=3)
+    clf.featurize_config = {"a": 2, "b": 1, "strategy_kind": "degree", "strategy_seed": None, "mask_pair_edge": False, "seed": 7}
+    if kind == "logistic":
+        payload = {"weights": clf.payload["weights"].tolist(), "bias": clf.payload["bias"]}
+    else:
+        payload = {"trees": [{key: array.tolist() for key, array in tree.items()} for tree in clf.payload["trees"]]}
+    doc = {"version": 1, "kind": kind, "hyperparameters": clf.params, "feature_length": clf.feature_length,
+           "seed": clf.seed, "featurize_config": clf.featurize_config, "payload": payload}
+    path, stream = tmp_path / "model.json", io.BytesIO()
+    assert save_model(clf, path) is None and save_model(clf, stream) is None
+    assert save_model(clf) == path.read_bytes() == stream.getvalue() == json.dumps(
+        doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+# A valid stump with the five node arrays' names as its keys, in an order of
+# its own; load_model converts such an object while parsing only where the
+# payload's trees are.
+_TREE_OBJECT = {"value": [0.5, 0.0, 1.0], "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                "left": [1, -1, -1], "right": [2, -1, -1]}
+
+
+def _put(holder, key, value=_TREE_OBJECT):
+    holder[key] = value
+
+
+# name: (document, its change, the ModelFormatError message that load_model
+# gives for it, the same as from lists parsed without conversion)
+TREE_OBJECT_REFUSALS = {
+    "as_hyperparameters": ("forest", lambda d: _put(d, "hyperparameters"),
+                           "malformed model document: unknown forest hyperparameter 'value'"),
+    "as_a_hyperparameter": ("forest", lambda d: _put(d["hyperparameters"], "tree_count"),
+                            f"malformed model document: tree_count must be an integer, got {_TREE_OBJECT!r}"),
+    "as_featurize_config": ("forest", lambda d: _put(d, "featurize_config"), "malformed model document: 'a'"),
+    "as_a_feature_setting": ("forest", lambda d: _put(d["featurize_config"], "a"),
+                             f"malformed model document: a must be an integer, got {_TREE_OBJECT!r}"),
+    "as_the_payload": ("forest", lambda d: _put(d, "payload"), "malformed model document: 'trees'"),
+    "as_a_node_array": ("forest", lambda d: _put(d["payload"]["trees"][0], "left"),
+                        "malformed model document: left must be an array of JSON integers"),
+    "in_a_node_array": ("forest", lambda d: _put(d["payload"]["trees"][0]["threshold"], 0),
+                        "malformed model document: threshold must be an array of JSON numbers"),
+    "as_the_seed": ("forest", lambda d: _put(d, "seed"), f"seed must be an integer, got {_TREE_OBJECT!r}"),
+    "as_the_version": ("forest", lambda d: _put(d, "version"),
+                       f"unsupported model format version {_TREE_OBJECT!r}, expected 1"),
+    "as_the_feature_length": ("forest", lambda d: _put(d, "feature_length"),
+                              f"malformed model document: feature_length must be an integer, got {_TREE_OBJECT!r}"),
+    "as_the_kind": ("forest", lambda d: _put(d, "kind"), "malformed model document: unhashable type: 'dict'"),
+    "as_a_logistic_payload": ("logistic", lambda d: _put(d, "payload"), "malformed model document: 'bias'"),
+    "as_logistic_weights": ("logistic", lambda d: _put(d["payload"], "weights"),
+                            "malformed model document: weights must be an array of JSON numbers"),
+    "as_a_logistic_bias": ("logistic", lambda d: _put(d["payload"], "bias"),
+                           f"malformed model document: bias must be a finite number, got {_TREE_OBJECT!r}"),
+    "a_bool_child": ("forest", lambda d: _put(d["payload"]["trees"][1]["left"], 0, True),
+                     "malformed model document: left must be an array of JSON integers"),
+    "a_float_child": ("forest", lambda d: _put(d["payload"]["trees"][1]["left"], 0, 1.0),
+                      "malformed model document: left must be an array of JSON integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_OBJECT_REFUSALS))
+def test_a_tree_object_out_of_place_or_a_mistyped_tree_is_refused_as_written(small_forest_doc, small_logistic_doc,
+                                                                             name):
+    kind, change, message = TREE_OBJECT_REFUSALS[name]
+    doc = json.loads(small_logistic_doc if kind == "logistic" else small_forest_doc)
+    change(doc)
+    with pytest.raises(ModelFormatError) as refused:
+        load_model(json.dumps(doc))
+    assert str(refused.value) == message
+
+
+def test_a_tree_object_that_is_the_document_or_nested_in_a_tree_is_refused_as_written(small_forest_doc):
+    with pytest.raises(ModelFormatError, match=r"^unsupported model format version None, expected 1$"):
+        load_model(json.dumps(_TREE_OBJECT))
+    doc = json.loads(small_forest_doc)
+    doc["payload"]["trees"][0] = {**_TREE_OBJECT, "right": _TREE_OBJECT}
+    with pytest.raises(ModelFormatError, match=r"^malformed model document: right must be an array of JSON integers$"):
+        load_model(json.dumps(doc))
+
+
+def test_a_child_past_int32_is_refused_as_it_was_without_conversion(small_forest_doc):
+    doc = json.loads(small_forest_doc)
+    doc["payload"]["trees"][0]["right"][0] = 2**40
+    with pytest.raises(OverflowError) as overflow:
+        np.array([2**40], dtype=np.int32)
+    with pytest.raises(ModelFormatError) as refused:
+        load_model(json.dumps(doc))
+    assert str(refused.value) == f"malformed model document: {overflow.value}"
+
+
+def test_a_tree_object_in_an_unread_field_loads_as_written(small_forest_doc):
+    """A document's trees are the objects of its payload's "trees": a
+    tree-shaped object anywhere else keeps its lists, so the model saves as
+    it did."""
+    doc = json.loads(small_forest_doc)
+    doc["featurize_config"]["note"] = _TREE_OBJECT
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    clf = load_model(data)
+    assert clf.featurize_config["note"] == _TREE_OBJECT
+    assert save_model(clf) == data
 
 
 def test_save_load_round_trip_logistic():

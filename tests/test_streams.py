@@ -1,9 +1,17 @@
 """Every writer accepts a path or an open stream: both give the same bytes,
-and a stream the caller passed in stays open. Readers close what they open."""
+and a stream the caller passed in stays open. A path is written to a new
+file that replaces it only once the write has finished. Readers close what
+they open."""
 
 import ast
 import builtins
+import errno
 import io
+import json
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +32,7 @@ from ab_linkpred import (
     train,
     write_edge_list,
 )
+from ab_linkpred._streams import open_stream
 
 from graphgen import graph_from_edges, two_cliques_edges
 
@@ -117,6 +126,133 @@ def test_no_module_but_streams_calls_the_builtin_open():
                 and node.func.attr in ("read_bytes", "read_text", "write_bytes", "write_text")))
     ]
     assert callers == []
+
+
+def test_no_module_but_streams_opens_a_file_descriptor_or_a_temporary_file():
+    """_streams.open_stream is the one owner of output files, so every output
+    is written atomically: no other src module calls os.open or names
+    tempfile."""
+    src = Path(ab_linkpred.__file__).parent
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py")) if path.name != "_streams.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "open"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.Name) and node.id == "tempfile")
+        or (isinstance(node, (ast.Import, ast.ImportFrom))
+            and "tempfile" in [getattr(node, "module", None)] + [alias.name for alias in node.names])
+    ]
+    assert callers == []
+
+
+def _temporary_files(folder: Path) -> list[str]:
+    return sorted(path.name for path in folder.iterdir() if path.name.endswith(".tmp"))
+
+
+# A full disk and Ctrl-C, raised in the middle of a write.
+CUT_SHORT = pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                                    ids=["enospc", "ctrl_c"])
+
+
+@CUT_SHORT
+def test_a_write_cut_short_leaves_the_previous_file_and_no_temporary_one(tmp_path, error):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+    with pytest.raises(type(error)):
+        with open_stream(path, "w", encoding="utf-8") as stream:
+            stream.write("partial")
+            raise error
+    assert path.read_text() == "previous\n"
+    assert _temporary_files(tmp_path) == []
+
+
+@CUT_SHORT
+def test_a_model_save_cut_short_between_trees_leaves_the_previous_model(parts, tmp_path, monkeypatch, error):
+    forest = train(parts[1].X, parts[1].y, params={"tree_count": 4}, seed=1)
+    path = tmp_path / "model.json"
+    save_model(parts[3], path)
+    previous = path.read_bytes()
+    real_dumps, calls = json.dumps, []
+
+    def failing_dumps(*args, **kwargs):  # the header and the first tree are written, then the second fails
+        calls.append(1)
+        if len(calls) == 3:
+            raise error
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(type(error)):
+        save_model(forest, path)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert path.read_bytes() == previous
+    assert _temporary_files(tmp_path) == []
+    save_model(forest, path)
+    assert path.read_bytes() == save_model(forest)
+
+
+def test_a_new_output_gets_the_mode_open_gives_and_a_replaced_one_keeps_its_own(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.write_text("old")
+    kept.chmod(0o640)
+    for path in (fresh, kept):
+        with open_stream(path, "w") as stream:
+            stream.write("new")
+        assert path.read_text() == "new"
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert _temporary_files(tmp_path) == []
+
+
+def test_a_symlinked_output_replaces_the_file_it_names_and_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old")
+    link.symlink_to(target)
+    with open_stream(link, "w") as stream:
+        stream.write("new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert _temporary_files(tmp_path) == []
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening the write end does not block
+    try:
+        with open_stream(fifo, "w") as stream:
+            stream.write("through the pipe\n")
+        assert os.read(reader, 100) == b"through the pipe\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo"]
+
+
+_WRITE_TO_DEV_STDOUT = """
+from ab_linkpred._streams import open_stream
+with open_stream("/dev/stdout", "w") as stream:
+    stream.write("written\\n")
+print("printed after")
+"""
+
+
+def test_dev_stdout_redirected_to_a_file_is_written_in_place(tmp_path):
+    """/dev/stdout names the file the shell redirected stdout to; replacing
+    that file would leave stdout writing to one that no longer has a name."""
+    log = tmp_path / "log.txt"
+    log.write_text("")
+    inode = log.stat().st_ino
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(ab_linkpred.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    with open(log, "a") as stdout:
+        subprocess.run([sys.executable, "-c", _WRITE_TO_DEV_STDOUT], stdout=stdout, env=env, check=True, timeout=60)
+    assert log.stat().st_ino == inode
+    assert log.read_text() == "written\nprinted after\n"
+    assert _temporary_files(tmp_path) == []
 
 
 def test_only_model_scores_decides_the_int16_walk():
