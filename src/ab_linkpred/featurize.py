@@ -1,12 +1,14 @@
 """Per-pair neighborhood features, dataset assembly, balancing, splitting.
 
 Each node pair (u, v) becomes one integer row: a block of neighbor IDs
-grown from u, the same for v, then u and v themselves. A block starts with
-the first `a` ordered neighbors of the root and is expanded for `b` rounds;
-round i re-expands the block entries at positions (i-1)*a .. i*a-1, each
-contributing its own first `a` not-yet-emitted neighbors. Groups short of
-`a` entries are padded with zeros, and a zero entry expands to `a` zeros,
-so every row has exactly 2*(a + a*a*b) + 2 values.
+grown from u, the same for v, then u and v themselves. Those last two
+columns are the only record of a row's pair: Dataset, Split and PairRow
+read their pairs off them. A block starts with the first `a` ordered
+neighbors of the root and is expanded for `b` rounds; round i re-expands
+the block entries at positions (i-1)*a .. i*a-1, each contributing its own
+first `a` not-yet-emitted neighbors. Groups short of `a` entries are padded
+with zeros, and a zero entry expands to `a` zeros, so every row has exactly
+2*(a + a*a*b) + 2 values.
 
 A pair (u, v), u > v, is named by its index p = (u-1)(u-2)/2 + v - 1, its
 rank in Graph.candidate_pairs() order. A graph's edge index is the sorted
@@ -72,24 +74,32 @@ class FeatureConfig:
         return 2 * self.block_length + 2
 
 
+def _row_pairs(X: np.ndarray) -> list[tuple[int, int]]:
+    """The (u, v) pair of each row of X, read off its last two columns."""
+    return list(zip(X[:, -2].tolist(), X[:, -1].tolist()))
+
+
 @dataclass
 class PairRow:
-    """One extracted row: feature vector x, label y, and the pair itself."""
+    """One extracted row: feature vector x, which ends with the pair, and
+    label y; u and v read the pair off x."""
 
     x: list[int]
     y: int
-    u: int
-    v: int
+    u = property(lambda self: self.x[-2])
+    v = property(lambda self: self.x[-1])
 
 
 @dataclass
 class Dataset:
-    """Feature matrix and labels for a sequence of node pairs."""
+    """Feature matrix and labels for a sequence of node pairs. Each row ends
+    with its pair, the only record of it: pairs reads them off X's last two
+    columns on every access, as a list of (u, v) tuples of ints."""
 
     X: np.ndarray  # (rows, row_length) int32
     y: np.ndarray  # (rows,) int8
-    pairs: list[tuple[int, int]]
     config: FeatureConfig
+    pairs = property(lambda self: _row_pairs(self.X))
 
     @property
     def positive_count(self) -> int:
@@ -102,16 +112,17 @@ class Dataset:
 
 @dataclass
 class Split:
-    """Stratified train/test partition of a Dataset."""
+    """Stratified train/test partition of a Dataset; train_pairs and
+    test_pairs read each side's pairs off its rows, as Dataset.pairs does."""
 
     Xtrain: np.ndarray
     ytrain: np.ndarray
     Xtest: np.ndarray
     ytest: np.ndarray
-    train_pairs: list[tuple[int, int]]
-    test_pairs: list[tuple[int, int]]
     test_fraction: float
     seed: int
+    train_pairs = property(lambda self: _row_pairs(self.Xtrain))
+    test_pairs = property(lambda self: _row_pairs(self.Xtest))
 
 
 def config_to_dict(config: FeatureConfig) -> dict:
@@ -221,7 +232,7 @@ def _pair_columns(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
 def create_pair_features(g: Graph, u: int, v: int, config: FeatureConfig) -> PairRow:
     """Extract the feature row and label for one node pair: a one-row build_dataset."""
     d = build_dataset(g, config, pairs=[(u, v)])
-    return PairRow(x=d.X[0].tolist(), y=int(d.y[0]), u=u, v=v)
+    return PairRow(x=d.X[0].tolist(), y=int(d.y[0]))
 
 
 def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | None = None, pairs=None) -> Dataset:
@@ -229,9 +240,9 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
 
     The centrality table is computed when not supplied. Explicit pairs must
     name two distinct nodes in 1..n, else ValueError; whatever their form,
-    Dataset.pairs holds them as (u, v) tuples of ints. Every row is
-    labelled alike: its pair index, in either orientation, is looked up in
-    the edge index. All candidate pairs are written root by root as slabs
+    they are written into the rows, and Dataset.pairs reads them back as
+    (u, v) tuples of ints. Every row is labelled alike: its pair index, in
+    either orientation, is looked up in the edge index. All candidate pairs are written root by root as slabs
     of the block table (_slab_rows); explicit pairs are gathered from it
     (_gathered_rows).
     """
@@ -247,7 +258,7 @@ def build_dataset(g: Graph, config: FeatureConfig, *, table: CentralityTable | N
         X = _gathered_rows(blocks, config, u, v)
     edge = np.isin(p, _edge_index(g))
     _finish_rows(X, orders, blocks, config, u, v, edge)
-    return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
+    return Dataset(X=X, y=edge.astype(np.int8), config=config)
 
 
 def _block_table(g: Graph, config: FeatureConfig, roots, table: CentralityTable | None):
@@ -329,9 +340,9 @@ def _outside(index: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def _non_edge_rows(g: Graph, config: FeatureConfig):
-    """The number of non-edges of g, and rows(lo, hi): the endpoint columns
-    u, v and the finished feature rows X of the non-edges of ranks lo ..
-    hi - 1, in pair index order. A non-edge's rank is its rank among the
+    """The number of non-edges of g, and rows(lo, hi): the finished feature
+    rows of the non-edges of ranks lo .. hi - 1, in pair index order, each
+    ending with its pair. A non-edge's rank is its rank among the
     pair indices outside the edge index, so no array of all pairs is held.
     Every call gathers from one block table of every root, built here."""
     n = g.node_count
@@ -342,7 +353,7 @@ def _non_edge_rows(g: Graph, config: FeatureConfig):
         u, v = _pair_nodes(_outside(edges, np.arange(lo, hi)))
         X = _gathered_rows(blocks, config, u, v)
         _finish_rows(X, orders, blocks, config, u, v, np.zeros(len(u), bool))
-        return u, v, X
+        return X
 
     return _pair_index(n + 1, 1) - len(edges), rows
 
@@ -367,7 +378,7 @@ def balance(d: Dataset, negative_ratio: float, seed: int) -> Dataset:
     The sample is balanced_dataset's, drawn over the dataset's rows.
     """
     keep = _balanced_row_indices(np.flatnonzero(d.y == 1), len(d.y), negative_ratio, seed)
-    return Dataset(X=d.X[keep], y=d.y[keep], pairs=[d.pairs[i] for i in keep], config=d.config)
+    return Dataset(X=d.X[keep], y=d.y[keep], config=d.config)
 
 
 def balanced_dataset(
@@ -420,19 +431,18 @@ def split(d: Dataset, test_fraction: float, seed: int) -> Split:
         ytrain=d.y[train],
         Xtest=d.X[test],
         ytest=d.y[test],
-        train_pairs=[d.pairs[i] for i in train],
-        test_pairs=[d.pairs[i] for i in test],
         test_fraction=test_fraction,
         seed=seed,
     )
 
 
 def export_dataset_csv(d: Dataset, g: Graph, sink) -> None:
-    """CSV with header u,v,y,f1..fK: original labels for the pair, internal
-    IDs for the K = row_length - 2 neighbor features."""
+    """CSV with header u,v,y,f1..fK: original labels for the pair, read off
+    the row's last two columns, and internal IDs for the K = row_length - 2
+    neighbor features."""
     with open_stream(sink, "w", encoding="utf-8", newline="") as stream:
         k = d.config.row_length - 2
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["u", "v", "y"] + [f"f{i}" for i in range(1, k + 1)])
-        for row, label, (u, v) in zip(d.X, d.y, d.pairs):
-            writer.writerow([g.labels[u], g.labels[v], int(label)] + [int(x) for x in row[:-2]])
+        for row, label in zip(d.X, d.y):
+            writer.writerow([g.labels[row[-2]], g.labels[row[-1]], int(label)] + row[:-2].tolist())

@@ -221,6 +221,8 @@ def _level_splits(
     weight: np.ndarray,
     pos_weight: np.ndarray,
     sizes: np.ndarray,
+    node_n: np.ndarray,
+    node_pos: np.ndarray,
     cols: np.ndarray,
     min_leaf: int,
 ):
@@ -228,6 +230,7 @@ def _level_splits(
 
     ranks, values and offsets are _dense_ranks(X). The entries (rows,
     weight, pos_weight) are grouped by node, sizes[i] of them for node i,
+    whose weights sum to node_n[i] and positive weights to node_pos[i], and
     whose candidate columns are cols[i]. Returns per node the split column
     (-1 where no boundary is valid), the rank on the left side of the cut,
     and the threshold.
@@ -242,9 +245,6 @@ def _level_splits(
     """
     nodes, k = cols.shape
     total_features = ranks.shape[1]
-    starts = np.cumsum(sizes) - sizes
-    node_n = np.add.reduceat(weight, starts)
-    node_pos = np.add.reduceat(pos_weight, starts)
     split_col = np.full(nodes, -1, dtype=np.intp)
     cut = np.zeros(nodes, dtype=ranks.dtype)
     threshold = np.zeros(nodes)
@@ -396,7 +396,8 @@ def _grow_trees(
                     column_order = np.empty(keys.shape, dtype=np.intp)
                     column_order[todo] = np.argsort(keys[todo], axis=1, kind="stable")
                 cols = np.sort(column_order[todo, lo:lo + n_features], axis=1)
-            col, at_rank, at_threshold = _level_splits(ranks, values, offsets, *entries, sizes[todo], cols, min_leaf)
+            col, at_rank, at_threshold = _level_splits(ranks, values, offsets, *entries, sizes[todo],
+                                                       count[open_nodes[todo]], pos[open_nodes[todo]], cols, min_leaf)
             found = col >= 0
             split_col[todo[found]] = col[found]
             cut[todo[found]] = at_rank[found]

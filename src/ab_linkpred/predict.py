@@ -14,11 +14,11 @@ model's walk arrays are built once per run (model._forest_walks). A step
 never holds a row for every non-edge: it cuts them into row chunks, and
 each chunk's rows are built by featurize (featurize._non_edge_rows, from
 one block table of every root per step), scored by model._scores (which
-picks the rows' walk dtype from the rows) and reduced to its pairs at or
-above epsilon. Large steps score their chunks on forked workers
-(_workers._fork_map), small ones here; either way the batch is the same
-(see _step). The trace records each pass's scored non-edges, added edges
-and seconds as its steps.
+picks the rows' walk dtype from the rows) and reduced to the pairs of its
+rows at or above epsilon, read off the rows' last two columns. Large steps
+score their chunks on forked workers (_workers._fork_map), small ones here;
+either way the batch is the same (see _step). The trace records each
+pass's scored non-edges, added edges and seconds as its steps.
 """
 
 from __future__ import annotations
@@ -117,21 +117,22 @@ def _step(g: Graph, model: Classifier, walks: list[dict], feat: FeatureConfig,
     The non-edges, ranks 0 .. rows - 1 of featurize._non_edge_rows, are cut
     into contiguous, near-equal chunks of at most _CHUNK_ROWS rows, at least
     one per worker but none empty. Each chunk's rows are scored at the
-    epsilon floor with the model's walks (model._scores), and only the rows
-    at or above it are kept. A score depends on its row alone, so the
-    chunks, joined in rank order, give the same batch however they are cut
-    and wherever they run: on _fork_map's workers when rows x trees reaches
-    _FORK_MIN_ROW_TREES and _fork_workers allows it, else here.
+    epsilon floor with the model's walks (model._scores), and only the pairs
+    of the rows at or above it, read off their last two columns, are kept.
+    A score depends on its row alone, so the chunks, joined in rank order,
+    give the same batch however they are cut and wherever they run: on
+    _fork_map's workers when rows x trees reaches _FORK_MIN_ROW_TREES and
+    _fork_workers allows it, else here.
     """
     rows, non_edge_rows = _non_edge_rows(g, feat)
     workers = _fork_workers(rows * len(walks), _FORK_MIN_ROW_TREES)
     chunks = min(max(workers, -(-rows // _CHUNK_ROWS)), max(rows, 1))
 
     def scored(i: int):
-        u, v, X = non_edge_rows(rows * i // chunks, rows * (i + 1) // chunks)
+        X = non_edge_rows(rows * i // chunks, rows * (i + 1) // chunks)
         scores = _scores(model, walks, X, epsilon)
         keep = scores >= epsilon
-        return u[keep], v[keep], scores[keep]
+        return X[keep, -2], X[keep, -1], scores[keep]
 
     u, v, scores = (np.concatenate(parts) for parts in zip(*_fork_map(scored, chunks, workers)))
     return list(zip(u.tolist(), v.tolist(), scores.tolist())), rows

@@ -187,7 +187,7 @@ def reference_dataset(g, config, pairs=None):
         row += _neighbor_block(orders, v, config.a, config.b, mask_u, mask_v)
         X[i] = row + [u, v]
         y[i] = 1 if g.has_edge(u, v) else 0
-    return Dataset(X=X, y=y, pairs=pair_list, config=config)
+    return Dataset(X=X, y=y, config=config)
 
 
 def adjacency(g):
@@ -229,13 +229,13 @@ def dense_dataset(g, config, pairs=None):
     orders, blocks = _block_table(g, config, np.unique(np.concatenate([u, v])).tolist(), None)
     X = _gathered_rows(blocks, config, u, v)
     _finish_rows(X, orders, blocks, config, u, v, edge)
-    return Dataset(X=X, y=edge.astype(np.int8), pairs=list(zip(u.tolist(), v.tolist())), config=config)
+    return Dataset(X=X, y=edge.astype(np.int8), config=config)
 
 
 def dense_balance(d, negative_ratio, seed):
     """balance with the dense negative sample."""
     keep = dense_balanced_row_indices(d.y, negative_ratio, seed)
-    return Dataset(X=d.X[keep], y=d.y[keep], pairs=[d.pairs[i] for i in keep], config=d.config)
+    return Dataset(X=d.X[keep], y=d.y[keep], config=d.config)
 
 
 def _best_split(Xn, ys, min_leaf):

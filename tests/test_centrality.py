@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -265,6 +266,12 @@ def test_strategy_validation():
         Strategy("random", seed=1.0)
     Strategy("random", seed=1)
     Strategy("degree")
+
+
+def test_centrality_table_refuses_an_unknown_measure():
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown centrality measure 'bogus', expected one of ('degree', 'betweenness', 'closeness')")):
+        centrality_table(path_graph(3), "bogus")
 
 
 def test_ordered_neighbors_tie_break_ascending_id():

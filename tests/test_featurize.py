@@ -253,6 +253,36 @@ def test_explicit_pairs_are_stored_as_int_tuples_whatever_their_form():
         assert set(got.pairs) == set(want.pairs)  # hashable
 
 
+def assert_pairs_read_off_rows(pairs, X):
+    assert pairs == [tuple(row) for row in X[:, -2:].tolist()]
+    assert all(type(p) is tuple and tuple(map(type, p)) == (int, int) for p in pairs)
+
+
+def test_pairs_are_read_off_each_rows_last_two_columns():
+    """Dataset.pairs, Split.train_pairs and .test_pairs are lists of (u, v)
+    tuples of Python ints, and PairRow.u and .v ints, read off the rows."""
+    g = with_isolated_nodes()
+    cfg = degree_cfg(2, 1)
+    full = build_dataset(g, cfg)
+    assert_pairs_read_off_rows(full.pairs, full.X)
+    assert full.pairs == list(g.candidate_pairs())
+    upward = [(v, u) for u, v in full.pairs[::37]]  # u < v
+    for given in (upward, np.array(upward)):
+        explicit = build_dataset(g, cfg, pairs=given)
+        assert_pairs_read_off_rows(explicit.pairs, explicit.X)
+        assert explicit.pairs == upward
+    for d in (balanced_dataset(g, cfg, 1.0), balance(full, 1.0, 3)):
+        assert_pairs_read_off_rows(d.pairs, d.X)
+    parts = split(full, 0.25, 3)
+    assert_pairs_read_off_rows(parts.train_pairs, parts.Xtrain)
+    assert_pairs_read_off_rows(parts.test_pairs, parts.Xtest)
+    assert sorted(parts.train_pairs + parts.test_pairs) == sorted(full.pairs)
+    for u, v in ((2, 14), (14, 2)):
+        row = create_pair_features(g, u, v, cfg)
+        assert (row.u, row.v) == (u, v) == tuple(row.x[-2:])
+        assert type(row.u) is int and type(row.v) is int
+
+
 @pytest.mark.parametrize("bad", [[(0, 1)], [(3, -1)], [(-2, 4)], [(1, 29)], [(4, 4)], [(1, 2, 3)], [(1.0, 2.0)]])
 def test_build_dataset_rejects_invalid_pairs(bad):
     g = with_isolated_nodes()  # 27 nodes

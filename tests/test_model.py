@@ -1204,6 +1204,17 @@ def test_load_rejects_bad_fields(small_forest_doc, small_logistic_doc, field, va
         load_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_a_threshold_that_is_not_finite(small_forest_doc, threshold):
+    # json reads the literals NaN, Infinity and -Infinity as floats, so only the payload check stops them.
+    doc = json.loads(small_forest_doc)
+    doc["payload"] = _stump(threshold=[threshold, 0.0, 0.0])
+    document = json.dumps(doc)
+    assert json.dumps(threshold) in document
+    with pytest.raises(ModelFormatError, match=r"^malformed model payload: tree 0: thresholds must be finite numbers$"):
+        load_model(document)
+
+
 def test_the_stump_payload_loads_and_its_numbers_round_trip(small_forest_doc, small_logistic_doc):
     doc = json.loads(small_forest_doc)
     doc["payload"] = _stump()

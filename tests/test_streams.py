@@ -232,6 +232,27 @@ def test_a_fifo_output_is_written_in_place(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo"]
 
 
+def test_a_path_under_a_regular_file_raises_as_open_does_and_leaves_the_folder(parts, tmp_path):
+    (tmp_path / "plain").write_text("kept\n")
+    with pytest.raises(NotADirectoryError):
+        save_model(parts[3], tmp_path / "plain" / "model.json")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plain"]
+    assert (tmp_path / "plain").read_text() == "kept\n"
+
+
+def test_a_name_too_long_for_a_temporary_beside_it_is_written_in_place(parts, tmp_path):
+    """The temporary name, .{name}.{12 hex digits}.tmp, would pass the
+    255-byte limit of a file name, so the file is rewritten where it is."""
+    path = tmp_path / ("m" * 245 + ".json")
+    path.write_bytes(b"old")
+    inode = path.stat().st_ino
+    save_model(parts[3], path)
+    assert path.stat().st_ino == inode
+    assert path.read_bytes() == save_model(parts[3])
+    assert save_model(load_model(path)) == save_model(parts[3])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 _WRITE_TO_DEV_STDOUT = """
 from ab_linkpred._streams import open_stream
 with open_stream("/dev/stdout", "w") as stream:
